@@ -66,6 +66,8 @@ def _read_long_csv(path: str) -> dict[str, tuple[list, list]]:
                 y = float(row[-1])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: non-numeric t or y")
+            if not (np.isfinite(t) and np.isfinite(y)):
+                raise InputError(f"{path}:{lineno}: non-finite t or y")
             series.setdefault(subject, ([], []))
             series[subject][0].append(t)
             series[subject][1].append(y)
@@ -89,16 +91,17 @@ def _grid_records(fit, n_points: int = PREDICTION_GRID):
             for x, v, s in zip(xs, g, se)]
 
 
-def _trajectory_records(fit, time_map, n_points: int = PREDICTION_GRID):
+def _trajectory_records(fit, time_map, h: float,
+                        n_points: int = PREDICTION_GRID):
     ts = np.linspace(fit.delta, 1.0 - fit.delta, n_points)
     traj = solve_trajectory(fit.model, fit.delta, 1.0 - fit.delta,
-                            fit.endpoints[0], h=1e-3)
+                            fit.endpoints[0], h=h)
     xs = traj.state_at(ts)
     t_orig = time_map["offset"] + time_map["scale"] * ts
     return [{"t": float(t), "x": float(x)} for t, x in zip(t_orig, xs)]
 
 
-def _subject_record(subject: str, fit, time_map) -> dict:
+def _subject_record(subject: str, fit, time_map, h: float) -> dict:
     return {
         "subject": subject,
         "M": int(fit.chosen_M),
@@ -115,7 +118,7 @@ def _subject_record(subject: str, fit, time_map) -> dict:
             "grad_norm": float(fit.convergence.grad_norm),
         },
         "g_grid": _grid_records(fit),
-        "traj_grid": _trajectory_records(fit, time_map),
+        "traj_grid": _trajectory_records(fit, time_map, h),
     }
 
 
@@ -159,7 +162,8 @@ def cmd_fit(args) -> int:
                 raise InputError("fewer than 10 rows")
             t_unit, time_map = _rescale_times(t_raw)
             fit = select_M(Dataset(t_unit, y, subject_id=subject), config)
-            per_subject.append(_subject_record(subject, fit, time_map))
+            per_subject.append(_subject_record(subject, fit, time_map,
+                                               config.h))
         except Exception as exc:
             errors.append({"subject": subject,
                            "error": f"{type(exc).__name__}: {exc}"})

@@ -368,11 +368,13 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
 
 
 def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
-                          cfg: TwoStageConfig, h: float, start_value: float):
-    """Two-stage initializer with a constant-model fallback."""
-    presmoothed = presmooth(data, cfg)
+                          h: float, start_value: float, presmoothed):
+    """Two-stage initializer with a constant-model fallback.
+
+    ``presmoothed`` is the (level, derivative) pair of ``presmooth(data)``.
+    """
     try:
-        beta = two_stage_fit(data, basis, delta, cfg, presmoothed=presmoothed)
+        beta = two_stage_fit(data, basis, delta, presmoothed=presmoothed)
         if np.isfinite(loss(beta, data, delta, start_value, basis, h)):
             return beta
     except SingularDesignError:
@@ -401,7 +403,9 @@ def approximate_loo_score(resid: np.ndarray, J: np.ndarray) -> float:
 
 
 def _fit_single_M(data_fit: Dataset, config: FitConfig, delta: float,
-                  x0_hat: float, x1_hat: float, n_full: int, M: int):
+                  x0_hat: float, x1_hat: float, n_full: int, M: int,
+                  get_presmoothed):
+    """One candidate fit; ``get_presmoothed()`` returns presmooth(data_fit)."""
     basis0 = make_basis(x0_hat, x1_hat, M, config.order)
     order = config.order
     eta = support_margin(M, n_full, basis0.smallest_support)
@@ -409,10 +413,8 @@ def _fit_single_M(data_fit: Dataset, config: FitConfig, delta: float,
         raise EstimatorError(
             f"margin {eta:.3g} outside (0, knot spacing) for M={M}")
     basis = make_basis(x0_hat - eta, x1_hat + eta, M, order)
-    ts_cfg = TwoStageConfig(kernel=config.kernel,
-                            bandwidth_grid=config.bandwidth_grid)
-    init = _initial_coefficients(data_fit, basis, delta, ts_cfg, config.h,
-                                 x0_hat)
+    init = _initial_coefficients(data_fit, basis, delta, config.h, x0_hat,
+                                 get_presmoothed())
     beta, report = lm_fit(init, data_fit, replace(config, delta=delta),
                           x0_hat, basis)
     resid, J = residuals_and_jacobian(beta, data_fit, delta, x0_hat, basis,
@@ -451,12 +453,28 @@ def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
                                         p=config.endpoint_degree,
                                         kernel=config.kernel)
     data_fit = data.odd_half()
+    ts_cfg = TwoStageConfig(kernel=config.kernel,
+                            bandwidth_grid=config.bandwidth_grid)
+    smoothed = []  # the presmooth result, or its SmoothingError
+
+    def get_presmoothed():
+        # Every candidate smooths the same data: do it once, on the first
+        # candidate that gets that far, and fail each later one the same way.
+        if not smoothed:
+            try:
+                smoothed.append(presmooth(data_fit, ts_cfg))
+            except SmoothingError as exc:
+                smoothed.append(exc)
+        if isinstance(smoothed[0], SmoothingError):
+            raise smoothed[0]
+        return smoothed[0]
+
     fits: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for M in sorted(set(config.candidate_Ms)):
         try:
             fits[M] = _fit_single_M(data_fit, config, delta, x0_hat, x1_hat,
-                                    data.n, M)
+                                    data.n, M, get_presmoothed)
         except (BasisError, EstimatorError, SmoothingError,
                 InsufficientDataError, TrajectoryDivergenceError) as exc:
             failures[M] = f"{type(exc).__name__}: {exc}"

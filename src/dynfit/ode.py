@@ -10,7 +10,11 @@ the starting value) and second-order sensitivities satisfy linear ODEs
 driven by the trajectory; when g stays positive along the path they
 also admit closed-form quadrature expressions.  Both routes are
 implemented and are required to agree; the quadrature route doubles as
-the fast path for building least-squares Jacobians.
+the fast path for building least-squares Jacobians.  It integrates
+phi/g^2 on one Gauss-Legendre node table over the traversed state range
+(a few points per piece of every knot interval, with a piece halved only
+where its rule has not settled), so its cost does not grow with the
+number of query times beyond one short rule each.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ from numpy.polynomial.legendre import leggauss
 from .basis import SplineBasis
 
 _POSITIVITY_GRID = 4096
+# Node table of sensitivities_closed_form: Gauss-Legendre points per piece,
+# pieces per knot interval, and the error control of each piece.
+_GAUSS_NODES = 10
+_SUBINTERVALS = 8
+_RTOL = 1e-10
+_MAX_HALVINGS = 12
+_GAUSS_TABLE = leggauss(_GAUSS_NODES)
 
 
 class TrajectoryDivergenceError(RuntimeError):
@@ -295,31 +306,54 @@ def sensitivities_ode(model, traj: TrajectorySolution,
                              initial_sensitivity=init)
 
 
-def _adaptive_segment(fvec, a: float, b: float, rtol: float,
-                      nodes20, nodes40, depth: int = 0) -> np.ndarray:
-    """Vector-valued Gauss-Legendre with one refinement comparison."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    z20, w20 = nodes20
-    z40, w40 = nodes40
-    coarse = (w20[:, None] * fvec(mid + half * z20)).sum(axis=0) * half
-    fine = (w40[:, None] * fvec(mid + half * z40)).sum(axis=0) * half
-    err = np.max(np.abs(fine - coarse))
-    scale = max(np.max(np.abs(fine)), 1e-300)
-    if err <= rtol * scale or depth >= 12 or (b - a) < 1e-13:
-        return fine
-    return (_adaptive_segment(fvec, a, mid, rtol, nodes20, nodes40, depth + 1)
-            + _adaptive_segment(fvec, mid, b, rtol, nodes20, nodes40, depth + 1))
+def _settled_table(integral, edges):
+    """Pieces of the closed-form node table and their integrals.
+
+    Each piece's rule is checked against the sum of the rules on its two
+    halves; where they differ by more than _RTOL of the piece's largest
+    column, the piece is replaced by its halves, at most _MAX_HALVINGS
+    times; a piece that passes keeps its own rule's value.  Pieces fail
+    where 1/g^2 changes fast across them: on growth-style gradients that
+    fall tenfold or more, and most of all next to a root of g just past
+    the path end.  Returns the sorted piece edges and the integral over
+    each piece.
+    """
+    a, b = edges[:-1], edges[1:]
+    coarse = integral(a, b)
+    starts, values = [], []
+    for level in range(_MAX_HALVINGS + 1):
+        mid = 0.5 * (a + b)
+        left, right = np.split(integral(np.concatenate([a, mid]),
+                                        np.concatenate([mid, b])), 2)
+        fine = left + right
+        ok = (np.abs(fine - coarse).max(axis=1)
+              <= _RTOL * np.abs(fine).max(axis=1)) | (level == _MAX_HALVINGS)
+        starts.append(a[ok])
+        values.append(coarse[ok])
+        if ok.all():
+            break
+        a, b = (np.concatenate([a[~ok], mid[~ok]]),
+                np.concatenate([mid[~ok], b[~ok]]))
+        coarse = np.concatenate([left[~ok], right[~ok]])
+    starts = np.concatenate(starts)
+    order = np.argsort(starts)
+    return np.append(starts[order], edges[-1]), np.concatenate(values)[order]
 
 
-def sensitivities_closed_form(model, traj: TrajectorySolution, t_query,
-                              rtol: float = 1e-10) -> SensitivityBundle:
+def sensitivities_closed_form(model, traj: TrajectorySolution,
+                              t_query) -> SensitivityBundle:
     """First-order sensitivities by the explicit quadrature formulas.
 
     The coefficient sensitivities are g(X(t)) times the integral of
     phi_r(u)/g(u)^2 from the starting state to X(t); the starting-value
     sensitivity is g(X(t))/g(x_start).  Requires g > 0 on the traversed
-    range.  Integration is adaptive Gauss-Legendre split at the basis
-    breakpoints and at the query states.
+    range.  The integral comes from one Gauss-Legendre node table: every
+    knot interval between the starting state and the largest query state
+    is cut into _SUBINTERVALS equal pieces with _GAUSS_NODES nodes each
+    (halved where the rule has not settled, see _settled_table),
+    cumulative sums of the table give the integral at the piece edges,
+    and one more _GAUSS_NODES-point rule per query covers the stretch
+    from the nearest edge below it to the query state.
     """
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
     xq = np.atleast_1d(traj.state_at(t_query))
@@ -332,25 +366,26 @@ def sensitivities_closed_form(model, traj: TrajectorySolution, t_query,
             "gradient is not positive on the traversed state range")
 
     bas = model.basis
-    cuts = bas.breakpoints[(bas.breakpoints > x0) & (bas.breakpoints < x_hi)]
-    edges = np.unique(np.concatenate([[x0], cuts, xq, [x_hi]]))
-    nodes20 = leggauss(20)
-    nodes40 = leggauss(40)
+    z, w = _GAUSS_TABLE
 
-    def integrand_vec(u):
-        gu = model.g(u)
-        xc = np.clip(u, bas.x_lo, bas.x_hi)
-        phi = bas.eval(xc)
-        return phi / np.asarray(gu)[:, None] ** 2
+    def integral(a, b):
+        """Integral of phi/g^2 over each [a_i, b_i], one row per interval."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        u = (mid[:, None] + half[:, None] * z).ravel()
+        f = bas.eval(np.clip(u, bas.x_lo, bas.x_hi)) / model.g(u)[:, None] ** 2
+        return half[:, None] * np.einsum("k,ikm->im", w,
+                                         f.reshape(len(a), len(z), -1))
 
-    prefix = np.zeros((len(edges), model.n_params))
-    for s in range(len(edges) - 1):
-        seg = _adaptive_segment(integrand_vec, edges[s], edges[s + 1],
-                                rtol, nodes20, nodes40)
-        prefix[s + 1] = prefix[s] + seg
-    cum = {round(e, 15): prefix[i] for i, e in enumerate(edges)}
+    inner = (bas.breakpoints > x0) & (bas.breakpoints < x_hi)
+    cuts = np.concatenate([[x0], bas.breakpoints[inner], [x_hi]])
+    pieces = np.arange(_SUBINTERVALS) / _SUBINTERVALS
+    edges, table = _settled_table(integral, np.append(
+        cuts[:-1, None] + np.diff(cuts)[:, None] * pieces, x_hi))
+    prefix = np.vstack([np.zeros(model.n_params), np.cumsum(table, axis=0)])
+    k = np.clip(np.searchsorted(edges, xq, side="right") - 1,
+                0, len(edges) - 2)
     g_q = np.atleast_1d(model.g(xq))
-    jac = np.vstack([g_q[i] * cum[round(x, 15)] for i, x in enumerate(xq)])
+    jac = g_q[:, None] * (prefix[k] + integral(edges[k], xq))
     init = g_q / model.g(x0)
     return SensitivityBundle(t_query=t_query, jacobian=jac,
                              initial_sensitivity=init)

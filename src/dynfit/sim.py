@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .basis import make_basis
 from .estimator import (AllCandidatesFailedError, EstimatorError, FitConfig,
                         FitResult, TwoStageConfig, _initial_coefficients,
-                        lm_fit, residuals_and_jacobian, select_M,
+                        lm_fit, presmooth, residuals_and_jacobian, select_M,
                         support_margin, two_stage_fit)
 from .ode import GradientModel, solve_trajectory
 from .smooth import Dataset, choose_delta, estimate_endpoints
@@ -207,7 +207,8 @@ def fit_fixed_dimension(data: Dataset, config: FitConfig, n_basis: int,
     dfit = data.odd_half()
     basis = make_basis(x0h - margin, x1h + margin, n_basis, cfg.order)
     ts = TwoStageConfig(kernel=cfg.kernel, bandwidth_grid=cfg.bandwidth_grid)
-    init = _initial_coefficients(dfit, basis, delta, ts, cfg.h, x0h)
+    init = _initial_coefficients(dfit, basis, delta, cfg.h, x0h,
+                                 presmooth(dfit, ts))
     beta, report = lm_fit(init, dfit, replace(cfg, delta=delta), x0h, basis)
     resid, J = residuals_and_jacobian(beta, dfit, delta, x0h, basis, cfg.h)
     n_eff = len(resid)

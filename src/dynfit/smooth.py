@@ -8,6 +8,12 @@ local fit, never a finite difference of the level fit.
 
 Endpoint estimation runs on the even-indexed half of the sample so that
 the start value is independent of the data used by the main fit.
+
+Each local fit is solved from weighted moments of the scaled time
+offsets: the normal matrix is the Hankel matrix of sum w z^k and the
+right-hand side holds sum w z^m y.  The moments are accumulated over
+blocks of queries, so the work is O(queries * n * degree) and the
+memory O(block * n), with no per-query design matrix.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class Dataset:
         y = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != y.shape:
             raise ValueError("times and values must be 1-d and equal length")
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise ValueError("times and values must be finite")
         if len(t) and (t.min() < -1e-12 or t.max() > 1 + 1e-12):
             raise ValueError("times must lie in [0, 1]")
         order = np.argsort(t, kind="stable")
@@ -69,6 +77,9 @@ class Dataset:
         return self.subset(np.arange(1, self.n, 2))
 
 
+_BLOCK = 128  # queries per block of the moment sums in _local_systems
+
+
 def _kernel_weights(u: np.ndarray, kernel: str) -> np.ndarray:
     if kernel == "gaussian":
         return np.exp(-0.5 * u ** 2)
@@ -77,14 +88,35 @@ def _kernel_weights(u: np.ndarray, kernel: str) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _local_systems(times, t_query, degree, bandwidth, kernel):
-    """Batched weighted normal equations, one (d+1)x(d+1) system per query."""
-    z = (times[None, :] - t_query[:, None]) / bandwidth
-    w = _kernel_weights(z, kernel)
-    powers = z[:, :, None] ** np.arange(degree + 1)
-    wp = w[:, :, None] * powers
-    A = np.einsum("qim,qil->qml", wp, powers)
-    return z, w, powers, wp, A
+def _local_systems(times, values, t_query, degree, bandwidth, kernel):
+    """Weighted normal equations of the local fits, one per query.
+
+    With z = (t_i - q)/bandwidth and kernel weights w_i, the normal
+    matrix at query q is the Hankel matrix of the weighted moments
+    S_k = sum_i w_i z_i^k (k = 0..2d), and the right-hand side holds
+    T_m = sum_i w_i z_i^m y_i (m = 0..d).  Both come from one running
+    product w z^k over blocks of _BLOCK queries, so memory stays
+    O(_BLOCK * n) whatever the number of queries.  Returns
+    (active, A, rhs): the number of observations with positive weight,
+    the (q, d+1, d+1) matrices and the (q, d+1) right-hand sides.
+    """
+    n_mom = 2 * degree + 1
+    S = np.empty((len(t_query), n_mom))
+    T = np.empty((len(t_query), degree + 1))
+    active = np.empty(len(t_query), dtype=int)
+    for start in range(0, len(t_query), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        z = (times[None, :] - t_query[rows, None]) / bandwidth
+        wz = _kernel_weights(z, kernel)
+        active[rows] = (wz > 0).sum(axis=1)
+        for k in range(n_mom):
+            if k:
+                wz *= z
+            S[rows, k] = wz.sum(axis=1)
+            if k <= degree:
+                T[rows, k] = wz @ values
+    hankel = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+    return active, S[:, hankel], T
 
 
 def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
@@ -102,30 +134,22 @@ def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    level = np.empty(len(t_query))
-    deriv = np.empty(len(t_query))
-    for start in range(0, len(t_query), 512):
-        chunk = t_query[start:start + 512]
-        z, w, powers, wp, A = _local_systems(
-            data.times, chunk, degree, bandwidth, kernel)
-        active = (w > 0).sum(axis=1)
-        bad = chunk[active < degree + 1]
-        if len(bad):
-            raise SmoothingError(
-                f"fewer than degree+1 observations receive weight near "
-                f"{bad[:5].tolist()} (bandwidth too small)", bad_queries=bad)
-        rhs = np.einsum("qim,qi->qm", wp, data.values[None, :])
-        try:
-            coef = np.linalg.solve(A, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            dets = np.abs(np.linalg.det(A))
-            bad = chunk[dets < 1e-300]
-            raise SmoothingError(
-                f"singular local design at queries {bad[:5].tolist()}",
-                bad_queries=bad) from None
-        level[start:start + 512] = coef[:, 0]
-        deriv[start:start + 512] = coef[:, 1] / bandwidth
-    return level, deriv
+    active, A, rhs = _local_systems(data.times, data.values, t_query, degree,
+                                    bandwidth, kernel)
+    bad = t_query[active < degree + 1]
+    if len(bad):
+        raise SmoothingError(
+            f"fewer than degree+1 observations receive weight near "
+            f"{bad[:5].tolist()} (bandwidth too small)", bad_queries=bad)
+    try:
+        coef = np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        dets = np.abs(np.linalg.det(A))
+        bad = t_query[dets < 1e-300]
+        raise SmoothingError(
+            f"singular local design at queries {bad[:5].tolist()}",
+            bad_queries=bad) from None
+    return coef[:, 0], coef[:, 1] / bandwidth
 
 
 @dataclass(frozen=True)
@@ -154,12 +178,11 @@ def _loo_errors(data: Dataset, degree: int, bandwidth: float,
     """
     if query_idx is None:
         query_idx = np.arange(data.n)
-    t = data.times
-    z, w, powers, wp, A = _local_systems(t, t[query_idx], degree, bandwidth,
-                                         kernel)
-    if ((w > 0).sum(axis=1) < degree + 1).any():
+    active, A, rhs = _local_systems(data.times, data.values,
+                                    data.times[query_idx], degree, bandwidth,
+                                    kernel)
+    if (active < degree + 1).any():
         return None
-    rhs = np.einsum("qim,qi->qm", wp, data.values[None, :])
     try:
         coef = np.linalg.solve(A, rhs[..., None])[..., 0]
         e1 = np.zeros(degree + 1)
@@ -188,7 +211,8 @@ def cv_bandwidth(data: Dataset, degree: int, kernel: str,
     every grid value yields a singular design.  On large samples the
     score is evaluated at a deterministic thinning of the observations
     (every k-th point) to keep the cost linear in n; the left-out fits
-    always use the full sample.
+    always use the full sample.  Each grid value costs one pass of the
+    blocked moment sums of ``_local_systems`` over those queries.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if len(grid) == 0 or grid[0] <= 0:

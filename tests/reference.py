@@ -49,3 +49,26 @@ def richardson_rk4_endpoint(model, t_start, t_end, x_start, h):
     coarse = solve_trajectory(model, t_start, t_end, x_start, h=2 * h)
     xf, xc = fine.x_values[-1], coarse.x_values[-1]
     return xf + (xf - xc) / 15.0
+
+
+def local_poly_lstsq(times, values, t_query, degree, bandwidth, kernel):
+    """(level, derivative) of the local polynomial fit, one query at a time.
+
+    Solves each kernel-weighted least squares problem directly, by
+    ``lstsq`` on the Vandermonde matrix of the scaled offsets with rows
+    scaled by the square root of the weights.
+    """
+    level, deriv = [], []
+    for q in np.atleast_1d(t_query):
+        z = (np.asarray(times) - q) / bandwidth
+        if kernel == "gaussian":
+            w = np.exp(-0.5 * z * z)
+        else:
+            w = np.maximum(0.0, 0.75 * (1.0 - z * z))
+        root = np.sqrt(w)
+        vander = np.vander(z, degree + 1, increasing=True)
+        coef = np.linalg.lstsq(root[:, None] * vander, root * values,
+                               rcond=None)[0]
+        level.append(coef[0])
+        deriv.append(coef[1] / bandwidth)
+    return np.array(level), np.array(deriv)

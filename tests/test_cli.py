@@ -6,9 +6,11 @@ import pytest
 from jsonschema import validate
 
 from dynfit.basis import make_basis
-from dynfit.cli import main
+from dynfit.cli import _read_long_csv, _rescale_times, main
+from dynfit.estimator import FitConfig, select_M
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.sim import SimSpec, generate_dataset, true_gradient_model
+from dynfit.smooth import Dataset
 
 GROWTH_AGES = np.concatenate([np.arange(1.0, 2.0, 0.25),
                               np.arange(2.0, 8.0, 1.0),
@@ -89,6 +91,21 @@ def test_fit_time_map_round_trip(single_csv, tmp_path):
     assert delta_lo == pytest.approx(1 - delta_hi, abs=1e-12)
 
 
+def test_fit_traj_grid_uses_step_size(single_csv, tmp_path):
+    out = tmp_path / "fit"
+    assert main(["fit", single_csv, "--out", str(out), "--M-candidates", "4",
+                 "--h", "5e-4"]) == 0
+    rec = json.load(open(f"{out}.json"))["per_subject"][0]
+    t_raw, y = (np.asarray(v) for v in _read_long_csv(single_csv)["series"])
+    t_unit, _ = _rescale_times(t_raw)
+    fit = select_M(Dataset(t_unit, y), FitConfig(candidate_Ms=(4,), h=5e-4))
+    ts = np.linspace(fit.delta, 1.0 - fit.delta, len(rec["traj_grid"]))
+    traj = solve_trajectory(fit.model, fit.delta, 1.0 - fit.delta,
+                            fit.endpoints[0], h=5e-4)
+    assert [row["x"] for row in rec["traj_grid"]] == \
+        traj.state_at(ts).tolist()
+
+
 def test_fit_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -100,6 +117,14 @@ def test_fit_malformed_row_names_line(tmp_path, capsys):
     bad.write_text("t,y\n0.1,1.0\n0.2,oops\n")
     assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert ":3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_fit_non_finite_row_names_line(tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t,y\n0.1,1.0\n{cell},2.0\n0.3,{cell}\n")
+    assert main(["fit", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert ":3: non-finite t or y" in capsys.readouterr().err
 
 
 def test_fit_bad_header(tmp_path):

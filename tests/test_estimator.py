@@ -7,11 +7,11 @@ from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               LMConfig, NoDescentError, SingularDesignError,
                               TwoStageConfig, approximate_loo_score,
                               conditioning_diagnostic, constant_coefficients,
-                              covariance, lm_fit, loss, residuals_and_jacobian,
-                              select_M, support_margin, trim_mask,
-                              two_stage_fit)
+                              covariance, lm_fit, loss, presmooth,
+                              residuals_and_jacobian, select_M,
+                              support_margin, trim_mask, two_stage_fit)
 from dynfit.ode import GradientModel, solve_trajectory
-from dynfit.smooth import Dataset, choose_delta
+from dynfit.smooth import Dataset, SmoothingError, choose_delta
 from conftest import make_replicate
 
 
@@ -286,6 +286,35 @@ def test_select_all_failed(true_trajectory):
     d = make_replicate(true_trajectory, seed=12, n=80, sigma=0.01)
     with pytest.raises(AllCandidatesFailedError):
         select_M(d, FitConfig(candidate_Ms=(2, 3)))
+
+
+def test_select_presmooths_once(true_trajectory, monkeypatch):
+    import dynfit.estimator as estimator
+
+    calls = []
+
+    def counted(data, cfg):
+        calls.append(data.n)
+        return presmooth(data, cfg)
+
+    monkeypatch.setattr(estimator, "presmooth", counted)
+    d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
+    fit = select_M(d, FitConfig(candidate_Ms=(3, 4, 5)))
+    assert sorted(fit.candidate_scores) == [4, 5]
+    assert calls == [40]
+
+    def failing(data, cfg):
+        calls.append(data.n)
+        raise SmoothingError("all candidate bandwidths give singular designs")
+
+    calls.clear()
+    monkeypatch.setattr(estimator, "presmooth", failing)
+    with pytest.raises(AllCandidatesFailedError) as err:
+        select_M(d, FitConfig(candidate_Ms=(3, 4, 5)))
+    assert calls == [40]
+    assert err.value.failures[3].startswith("BasisError")
+    assert err.value.failures[4] == err.value.failures[5] == (
+        "SmoothingError: all candidate bandwidths give singular designs")
 
 
 def test_select_needs_enough_data():

@@ -194,6 +194,41 @@ def test_route_equivalence_on_random_positive_models():
         assert np.abs(h1.hessian - h2.hessian).max() / hscale < 1e-5
 
 
+def test_routes_agree_on_growth_model():
+    # the cohort fixture's gradient: g falls from ~400 to ~34 cm per unit
+    # time as the height approaches its adult level
+    basis = make_basis(70.0, 185.0, 7, 4)
+    raw = np.array([24.0, 7.5, 4.5, 3.5, 15.0, 1.2, 0.15]) * 17.0
+    model = GradientModel(basis, raw / basis.norm_factors)
+    traj = solve_trajectory(model, 0.0, 1.0, 75.0, h=5e-4)
+    tq = np.linspace(0.0, 1.0, 41)
+    b_ode = sensitivities_ode(model, traj, tq)
+    b_cf = sensitivities_closed_form(model, traj, tq)
+    scale = np.abs(b_ode.jacobian).max(axis=0)
+    assert (np.abs(b_cf.jacobian - b_ode.jacobian).max(axis=0)
+            <= 1e-8 * scale).all()
+    np.testing.assert_allclose(b_cf.initial_sensitivity,
+                               b_ode.initial_sensitivity, rtol=1e-8)
+
+
+def test_routes_agree_next_to_a_root():
+    # g has a root at x ~ 170.41 and the path ends ~7e-3 short of it
+    # (g there is 4e-4 of its largest value), so 1/g^2 has a near-pole
+    # in the last piece of the closed form's node table
+    basis = make_basis(70.0, 185.0, 7, 4)
+    raw = np.array([24.0, 7.5, 4.5, 3.5, 15.0, 1.2, -40.0]) * 18.7
+    model = GradientModel(basis, raw / basis.norm_factors)
+    traj = solve_trajectory(model, 0.0, 1.0, 75.0, h=5e-4)
+    x_end = traj.x_values[-1]
+    assert 0 < model.g(x_end) < 1e-3 * model.g(np.linspace(70, x_end, 999)).max()
+    tq = np.linspace(0.0, 1.0, 41)
+    b_ode = sensitivities_ode(model, traj, tq)
+    b_cf = sensitivities_closed_form(model, traj, tq)
+    scale = np.abs(b_ode.jacobian).max(axis=0)
+    assert (np.abs(b_cf.jacobian - b_ode.jacobian).max(axis=0)
+            <= 1e-8 * scale).all()
+
+
 def test_closed_form_requires_positive_gradient():
     basis = make_basis(0.0, 1.0, 5, 4)
     raw = np.array([0.8, 0.8, -1.5, 0.8, 0.8])

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import dynfit.smooth as smooth
+from dynfit.estimator import presmooth
+from dynfit.sim import SimSpec, generate_dataset
 from dynfit.smooth import (Dataset, InsufficientDataError, LocalPolyFit,
                            SmoothingError, choose_delta, cv_bandwidth,
                            estimate_endpoints, local_poly)
 from conftest import make_replicate
+from reference import local_poly_lstsq
 
 
 def test_dataset_sorted_and_validated():
@@ -16,6 +19,14 @@ def test_dataset_sorted_and_validated():
         Dataset([0.1, 1.4], [0.0, 1.0])
     with pytest.raises(ValueError):
         Dataset([0.1, 0.2], [0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Dataset([0.1, bad, 0.9], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        Dataset([0.1, 0.5, 0.9], [1.0, bad, 3.0])
 
 
 def test_even_odd_halves_are_disjoint():
@@ -62,6 +73,60 @@ def test_rank_deficiency_reported_per_query():
         local_poly(d, 2, 0.01, "epanechnikov", [0.05, 0.5])
     assert err.value.bad_queries is not None
     assert 0.05 in err.value.bad_queries.tolist()
+
+
+def test_bad_queries_cover_every_query():
+    t = np.sort(np.random.default_rng(3).uniform(0.4, 0.6, 30))
+    with pytest.raises(SmoothingError) as err:
+        local_poly(Dataset(t, t), 2, 0.01, "epanechnikov",
+                   np.linspace(0.0, 1.0, 1001))
+    bad = err.value.bad_queries.tolist()
+    assert 0.0 in bad and 1.0 in bad
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_moment_sums_match_direct_least_squares(degree, kernel):
+    # query counts around the moment-sum block size and many blocks
+    rng = np.random.default_rng(8)
+    t = np.sort(rng.uniform(0, 1, 400))
+    y = 2 + t + 0.3 * np.sin(5 * t) + 0.05 * rng.standard_normal(400)
+    d = Dataset(t, y)
+    for n_query in (1, 127, 128, 129, 1600):
+        q = np.linspace(0, 1, n_query)
+        level, deriv = local_poly(d, degree, 0.1, kernel, q)
+        ref_level, ref_deriv = local_poly_lstsq(t, y, q, degree, 0.1, kernel)
+        np.testing.assert_allclose(level, ref_level, rtol=1e-10)
+        np.testing.assert_allclose(deriv, ref_deriv, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref_deriv).max())
+
+
+def test_loo_errors_match_refits_without_the_point():
+    rng = np.random.default_rng(9)
+    t = np.sort(rng.uniform(0, 1, 40))
+    y = np.cos(2 * t) + 0.05 * rng.standard_normal(40)
+    resid = smooth._loo_errors(Dataset(t, y), 2, 0.2, "gaussian")
+    keep = np.ones(40, dtype=bool)
+    for j in range(40):
+        keep[j] = False
+        level, _ = local_poly_lstsq(t[keep], y[keep], t[j], 2, 0.2,
+                                    "gaussian")
+        keep[j] = True
+        assert resid[j] == pytest.approx(y[j] - level[0], rel=1e-9)
+
+
+def test_presmooth_memory_is_bounded():
+    import tracemalloc
+
+    data = generate_dataset(SimSpec(rng_seed=0, n_range=(3200, 3200)),
+                            0).odd_half()
+    tracemalloc.start()
+    try:
+        presmooth(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_local_poly_fit_wrapper():
