@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import DynfitError
 
-class BasisError(ValueError):
+
+class BasisError(DynfitError, ValueError):
     """Invalid basis construction arguments."""
 
 
@@ -70,6 +72,15 @@ def _build_coefficient_table(knots: np.ndarray, breakpoints: np.ndarray,
 
     # (n_basis, n_intervals, order) -> (n_intervals, n_basis, order)
     return np.ascontiguousarray(table.transpose(1, 0, 2))
+
+
+def _gauss_nodes(breakpoints: np.ndarray, n_nodes: int):
+    """Gauss-Legendre nodes on every knot interval, one row per interval,
+    with the intervals' half-lengths and the reference weights."""
+    z, w = leggauss(n_nodes)
+    mid = 0.5 * (breakpoints[1:] + breakpoints[:-1])
+    half = 0.5 * np.diff(breakpoints)
+    return mid[:, None] + half[:, None] * z[None, :], half, w
 
 
 def _differentiate(table: np.ndarray) -> np.ndarray:
@@ -149,14 +160,9 @@ class SplineBasis:
 
     def quadrature_nodes(self, n_nodes: int | None = None):
         """Gauss-Legendre nodes/weights on every knot interval."""
-        if n_nodes is None:
-            n_nodes = -(-(2 * self.order + 1) // 2)
-        z, w = leggauss(n_nodes)
-        mid = 0.5 * (self.breakpoints[1:] + self.breakpoints[:-1])
-        half = 0.5 * np.diff(self.breakpoints)
-        nodes = (mid[:, None] + half[:, None] * z[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
-        return nodes, weights
+        nodes, half, w = _gauss_nodes(self.breakpoints,
+                                      n_nodes or self.order + 1)
+        return nodes.ravel(), (half[:, None] * w[None, :]).ravel()
 
 
 def make_basis(x_lo: float, x_hi: float, n_basis: int,
@@ -182,14 +188,10 @@ def make_basis(x_lo: float, x_hi: float, n_basis: int,
     raw = _build_coefficient_table(knots, breakpoints, order)
 
     # unit L2 norm via Gauss-Legendre, exact for the squared splines
-    n_nodes = -(-(2 * order + 1) // 2)
-    z, w = leggauss(n_nodes)
-    mid = 0.5 * (breakpoints[1:] + breakpoints[:-1])
-    half = 0.5 * np.diff(breakpoints)
+    nodes, half, w = _gauss_nodes(breakpoints, order + 1)
     sq = np.zeros(n_basis)
     for j in range(n_intervals):
-        u = half[j] * z + mid[j] - breakpoints[j]
-        powers = u[:, None] ** np.arange(order)
+        powers = (nodes[j] - breakpoints[j])[:, None] ** np.arange(order)
         vals = powers @ raw[j].T  # (n_nodes, n_basis)
         sq += half[j] * (w[:, None] * vals ** 2).sum(axis=0)
     norm_factors = 1.0 / np.sqrt(sq)
@@ -201,11 +203,6 @@ def make_basis(x_lo: float, x_hi: float, n_basis: int,
                        x_hi=float(x_hi), knots=knots,
                        norm_factors=norm_factors, breakpoints=breakpoints,
                        _tables=(c0, c1, c2))
-
-
-def eval_basis(basis: SplineBasis, x, deriv: int = 0) -> np.ndarray:
-    """Evaluate all basis functions (or a derivative) at ``x``."""
-    return basis.eval(x, deriv)
 
 
 def gram_matrix(basis: SplineBasis) -> np.ndarray:

@@ -16,11 +16,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .estimator import FitConfig, select_M, two_stage_fit
+from .errors import DynfitError
+from .estimator import FitConfig, margin_basis, select_M, two_stage_fit
 from .ode import GradientModel, solve_trajectory
 from .sim import SimSpec, rate_sweep, run_study
 from .smooth import Dataset, choose_delta, estimate_endpoints
@@ -29,7 +29,7 @@ SCHEMA_VERSION = 1
 PREDICTION_GRID = 200
 
 
-class InputError(Exception):
+class InputError(DynfitError):
     """Bad file or malformed row; maps to exit code 2."""
 
 
@@ -85,7 +85,7 @@ def _rescale_times(t: np.ndarray):
 
 def _grid_records(fit, n_points: int = PREDICTION_GRID):
     xs = np.linspace(*fit.endpoints, n_points)
-    g, lo, hi = fit.gradient_band(xs)
+    g = fit.model.g(xs)
     se = fit.pointwise_se(xs)
     return [{"x": float(x), "g": float(v), "se": float(s)}
             for x, v, s in zip(xs, g, se)]
@@ -148,12 +148,13 @@ def _fit_config(args, default_candidates=(4, 5, 6, 7)) -> FitConfig:
     cands = _parse_m_candidates(args.M_candidates) \
         if args.M_candidates else default_candidates
     return FitConfig(delta=args.delta, candidate_Ms=cands, order=args.order,
-                     h=args.h, rng_seed=args.seed)
+                     h=args.h)
 
 
-def cmd_fit(args) -> int:
+def _fit_subjects(args, method: str, record_of, status_of) -> list:
+    """Write ``record_of(subject, data, time_map)`` for every subject, or
+    its DynfitError under ``errors``; returns the records."""
     series = _read_long_csv(args.input)
-    config = _fit_config(args)
     per_subject, errors = [], []
     for subject in sorted(series):
         t_raw, y = (np.asarray(v, dtype=float) for v in series[subject])
@@ -161,74 +162,63 @@ def cmd_fit(args) -> int:
             if len(t_raw) < 10:
                 raise InputError("fewer than 10 rows")
             t_unit, time_map = _rescale_times(t_raw)
-            fit = select_M(Dataset(t_unit, y, subject_id=subject), config)
-            per_subject.append(_subject_record(subject, fit, time_map,
-                                               config.h))
-        except Exception as exc:
+            per_subject.append(record_of(
+                subject, Dataset(t_unit, y, subject_id=subject), time_map))
+        except DynfitError as exc:
             errors.append({"subject": subject,
                            "error": f"{type(exc).__name__}: {exc}"})
-    payload = {"version": SCHEMA_VERSION, "method": "integral_curve",
+    payload = {"version": SCHEMA_VERSION, "method": method,
                "per_subject": per_subject, "errors": errors}
-    rows = [[r["subject"], r["M"], r["cv_score"], r["sigma2"],
-             r["convergence"]["status"]] for r in per_subject]
+    rows = [[r["subject"], r["M"], r["cv_score"], r["sigma2"], status_of(r)]
+            for r in per_subject]
     _write_outputs(args.out, payload, rows,
                    ["subject", "M", "cv_score", "sigma2", "status"],
                    args.format)
-    if not per_subject:
+    return per_subject
+
+
+def cmd_fit(args) -> int:
+    config = _fit_config(args)
+
+    def record(subject, data, time_map):
+        return _subject_record(subject, select_M(data, config), time_map,
+                               config.h)
+
+    if not _fit_subjects(args, "integral_curve", record,
+                         lambda r: r["convergence"]["status"]):
         print("all subjects failed", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_two_stage(args) -> int:
-    series = _read_long_csv(args.input)
     if args.M is None:
         print("warning: --M not given, defaulting to M=6", file=sys.stderr)
         n_basis = 6
     else:
         n_basis = args.M
-    per_subject, errors = [], []
-    for subject in sorted(series):
-        t_raw, y = (np.asarray(v, dtype=float) for v in series[subject])
-        try:
-            if len(t_raw) < 10:
-                raise InputError("fewer than 10 rows")
-            t_unit, time_map = _rescale_times(t_raw)
-            data = Dataset(t_unit, y, subject_id=subject)
-            delta = args.delta if args.delta is not None \
-                else choose_delta(t_unit)
-            x0h, x1h = estimate_endpoints(data, delta)
-            from .basis import make_basis
-            from .estimator import support_margin
-            probe = make_basis(x0h, x1h, n_basis, args.order)
-            margin = support_margin(n_basis, data.n, probe.smallest_support)
-            basis = make_basis(x0h - margin, x1h + margin, n_basis, args.order)
-            beta = two_stage_fit(data.odd_half(), basis, delta)
-            model = GradientModel(basis, beta)
-            xs = np.linspace(x0h, x1h, PREDICTION_GRID)
-            record = {
-                "subject": subject, "M": int(n_basis),
-                "beta": [float(b) for b in beta],
-                "knots": [float(k) for k in basis.knots],
-                "domain": [basis.x_lo, basis.x_hi],
-                "time_map": time_map, "cv_score": None, "sigma2": None,
-                "convergence": None,
-                "g_grid": [{"x": float(x), "g": float(v), "se": None}
-                           for x, v in zip(xs, model.g(xs))],
-                "traj_grid": [],
-            }
-            per_subject.append(record)
-        except Exception as exc:
-            errors.append({"subject": subject,
-                           "error": f"{type(exc).__name__}: {exc}"})
-    payload = {"version": SCHEMA_VERSION, "method": "two_stage",
-               "per_subject": per_subject, "errors": errors}
-    rows = [[r["subject"], r["M"], r["cv_score"], r["sigma2"], "ols"]
-            for r in per_subject]
-    _write_outputs(args.out, payload, rows,
-                   ["subject", "M", "cv_score", "sigma2", "status"],
-                   args.format)
-    return 0 if per_subject else 1
+
+    def record(subject, data, time_map):
+        delta = args.delta if args.delta is not None \
+            else choose_delta(data.times)
+        x0h, x1h = estimate_endpoints(data, delta)
+        basis = margin_basis(x0h, x1h, n_basis, args.order, data.n)
+        beta = two_stage_fit(data.odd_half(), basis, delta)
+        xs = np.linspace(x0h, x1h, PREDICTION_GRID)
+        return {
+            "subject": subject, "M": int(n_basis),
+            "beta": [float(b) for b in beta],
+            "knots": [float(k) for k in basis.knots],
+            "domain": [basis.x_lo, basis.x_hi],
+            "time_map": time_map, "cv_score": None, "sigma2": None,
+            "convergence": None,
+            "g_grid": [{"x": float(x), "g": float(v), "se": None}
+                       for x, v in zip(xs, GradientModel(basis, beta).g(xs))],
+            "traj_grid": [],
+        }
+
+    return 0 if _fit_subjects(args, "two_stage", record, lambda r: "ols") \
+        else 1
 
 
 def cmd_simulate(args) -> int:
@@ -286,7 +276,6 @@ def _add_common(p, with_input: bool):
     p.add_argument("--delta", type=float, default=None,
                    help="trimming level; default puts ~5%% of data per tail")
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-3,
                    help="integrator step size")
 
@@ -318,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--n-min", dest="n_min", type=int, default=60)
     p.add_argument("--n-max", dest="n_max", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("rates", help="error-vs-n rate sweep")
@@ -328,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int, default=3200)
     p.add_argument("--fixed-M", dest="fixed_M", type=int, default=None,
                    help="force one basis dimension instead of the n-rule")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_rates)
     return parser
 

@@ -11,10 +11,14 @@ closed-form trajectory sensitivities.  Coefficient vectors for which
 g_beta is not positive on the basis domain get an infinite loss and act
 as rejected steps, which keeps the search unconstrained.
 
-The basis dimension is chosen by an approximate leave-one-out score
-built from the linearized hat matrix at the fitted coefficients.  The
-start value comes from the even-indexed half of the sample; everything
-else uses the odd-indexed half, so the two are independent.
+The whole pipeline at one basis dimension is ``fit_at_dimension``:
+trim, estimate the endpoints, widen the basis by a margin, start from
+the two-stage regression, run LM, score by approximate leave-one-out
+(from the linearized hat matrix at the fitted coefficients) and take
+the Gauss-Newton covariance.  ``select_M`` runs the same body for every
+candidate dimension, sharing the per-dataset work, and keeps the best
+score.  The start value comes from the even-indexed half of the sample;
+everything else uses the odd-indexed half, so the two are independent.
 """
 
 from __future__ import annotations
@@ -24,26 +28,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisError, SplineBasis, make_basis
+from .basis import SplineBasis, make_basis
+from .errors import DynfitError
 from .ode import (GradientModel, NonpositiveGradientError,
                   TrajectoryDivergenceError, sensitivities_closed_form,
                   solve_trajectory)
-from .smooth import (Dataset, InsufficientDataError, SmoothingError,
-                     choose_delta, cv_bandwidth, estimate_endpoints,
-                     local_poly)
-
-def default_bandwidth_grid(n_obs: int) -> tuple:
-    """Log-spaced presmoothing bandwidths, 20 values up to 0.5.
-
-    The floor is 0.02 for ordinary sample sizes and shrinks like 10/n on
-    dense samples, where the wider floor would leave irreducible
-    smoothing bias.
-    """
-    lo = min(0.02, 10.0 / max(n_obs, 20))
-    return tuple(np.geomspace(lo, 0.5, 20))
+from .smooth import (Dataset, SmoothingError, choose_delta, cv_bandwidth,
+                     estimate_endpoints, local_poly)
 
 
-class EstimatorError(RuntimeError):
+class EstimatorError(DynfitError, RuntimeError):
     pass
 
 
@@ -52,7 +46,11 @@ class InfeasibleCoefficientsError(EstimatorError):
 
 
 class NoDescentError(EstimatorError):
-    """Damping grew past its cap without an accepted step."""
+    """LM damping grew past its cap, after accepted steps or none.
+
+    ``best_beta`` holds the last accepted coefficients and ``report`` the
+    LMReport (status ``no_descent``) of the run.
+    """
 
     def __init__(self, message, best_beta, report):
         super().__init__(message)
@@ -89,7 +87,8 @@ class FitConfig:
     ``delta`` of None means the smallest trimming level that puts about
     5% of the observations in each tail.  The basis margin is not
     configurable; it follows min(M^(-3/2) log n, s_M / log n) with s_M
-    the smallest support length of the candidate basis.
+    the smallest support length of the candidate basis.  Smoothing is
+    not configurable either: see ``estimate_endpoints`` and ``presmooth``.
     """
 
     delta: float | None = None
@@ -97,10 +96,6 @@ class FitConfig:
     order: int = 4
     lm: LMConfig = field(default_factory=LMConfig)
     h: float = 1e-3
-    rng_seed: int = 0
-    endpoint_degree: int = 4
-    kernel: str = "gaussian"
-    bandwidth_grid: tuple | None = None
 
     def __post_init__(self):
         if self.delta is not None and not 0.0 < self.delta < 0.5:
@@ -111,7 +106,7 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class LMReport:
-    status: str            # converged | step_tol | max_iter
+    status: str            # converged | step_tol | max_iter | no_descent
     iterations: int
     final_lambda: float
     grad_norm: float
@@ -156,18 +151,24 @@ def support_margin(n_basis: int, n_obs: int, smallest_support: float) -> float:
     return float(min(n_basis ** -1.5 * logn, smallest_support / logn))
 
 
+def margin_basis(x0_hat: float, x1_hat: float, M: int, order: int,
+                 n_obs: int, margin: float | None = None) -> SplineBasis:
+    """Basis of dimension M on [x0_hat, x1_hat] widened by the margin.
+
+    The margin defaults to ``support_margin`` of the unwidened basis and
+    must lie in (0, knot spacing of the unwidened basis).
+    """
+    probe = make_basis(x0_hat, x1_hat, M, order)
+    eta = support_margin(M, n_obs, probe.smallest_support) \
+        if margin is None else margin
+    if not 0.0 < eta < probe.knot_spacing:
+        raise EstimatorError(
+            f"margin {eta:.3g} outside (0, knot spacing) for M={M}")
+    return make_basis(x0_hat - eta, x1_hat + eta, M, order)
+
+
 def trim_mask(times: np.ndarray, delta: float) -> np.ndarray:
     return (times >= delta) & (times <= 1.0 - delta)
-
-
-def _solve_fit_trajectory(model, data: Dataset, delta: float,
-                          start_value: float, h: float):
-    """Trajectory over the trimmed window hitting the kept times exactly."""
-    mask = trim_mask(data.times, delta)
-    t_in = data.times[mask]
-    traj = solve_trajectory(model, delta, 1.0 - delta, start_value, h=h,
-                            extra_times=t_in)
-    return traj, t_in, data.values[mask]
 
 
 def _evaluate(beta, data: Dataset, delta: float, start_value: float,
@@ -182,14 +183,17 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
     model = GradientModel(basis, np.asarray(beta, dtype=float))
     if model.g(float(start_value)) <= 0.0:
         return np.inf, None, None, model
+    mask = trim_mask(data.times, delta)
+    t_in = data.times[mask]
     try:
-        traj, t_in, y_in = _solve_fit_trajectory(model, data, delta,
-                                                 start_value, h)
+        # the grid hits the kept times exactly
+        traj = solve_trajectory(model, delta, 1.0 - delta, start_value, h=h,
+                                extra_times=t_in)
     except TrajectoryDivergenceError:
         return np.inf, None, None, model
     if traj.nonpositive_encountered or traj.x_values[-1] > basis.x_hi:
         return np.inf, None, None, model
-    resid = y_in - traj.state_at(t_in)
+    resid = data.values[mask] - traj.state_at(t_in)
     return float(resid @ resid), resid, traj, model
 
 
@@ -198,6 +202,14 @@ def loss(beta, data: Dataset, delta: float, start_value: float,
     """Trimmed sum of squared residuals; +inf for infeasible beta."""
     value, _, _, _ = _evaluate(beta, data, delta, start_value, basis, h)
     return value
+
+
+def _jacobian(model, traj, t_in) -> np.ndarray:
+    """d(residual)/d(beta) at the kept times: the negated sensitivities."""
+    try:
+        return -sensitivities_closed_form(model, traj, t_in).jacobian
+    except NonpositiveGradientError as exc:
+        raise InfeasibleCoefficientsError(str(exc)) from None
 
 
 def residuals_and_jacobian(beta, data: Dataset, delta: float,
@@ -213,12 +225,8 @@ def residuals_and_jacobian(beta, data: Dataset, delta: float,
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError(
             "gradient not positive (or trajectory diverged) at these beta")
-    mask = trim_mask(data.times, delta)
-    try:
-        bundle = sensitivities_closed_form(model, traj, data.times[mask])
-    except NonpositiveGradientError as exc:
-        raise InfeasibleCoefficientsError(str(exc)) from None
-    return resid, -bundle.jacobian
+    return resid, _jacobian(model, traj,
+                            data.times[trim_mask(data.times, delta)])
 
 
 def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
@@ -228,8 +236,9 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
     Solves (J'J + lambda diag(J'J)) step = J'r at each iteration;
     accepted steps shrink lambda, rejected or infeasible ones grow it.
     Returns (beta_hat, LMReport).  Raises InfeasibleCoefficientsError if
-    the start is infeasible and NoDescentError if lambda exceeds its cap
-    without any accepted step.
+    the start is infeasible, and NoDescentError as soon as lambda passes
+    ``lambda_max``, whether or not earlier steps were accepted; the error
+    carries the last accepted coefficients and the report.
     """
     lm = config.lm
     delta = _delta_of(config, data)
@@ -238,18 +247,8 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
                                           basis, config.h)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError("initial coefficients are infeasible")
-    mask = trim_mask(data.times, delta)
-    t_in = data.times[mask]
-
-    def jac(model, traj):
-        try:
-            return -sensitivities_closed_form(model, traj, t_in).jacobian
-        except NonpositiveGradientError:
-            return None
-
-    J = jac(model, traj)
-    if J is None:
-        raise InfeasibleCoefficientsError("initial coefficients are infeasible")
+    t_in = data.times[trim_mask(data.times, delta)]
+    J = _jacobian(model, traj, t_in)
     lam = lm.lambda_init
     accepted = [value]
     status = "max_iter"
@@ -273,7 +272,10 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
                 cand, data, delta, start_value, basis, config.h)
         cand_J = None
         if step is not None and cand_value < value:
-            cand_J = jac(cand_model, cand_traj)
+            try:
+                cand_J = _jacobian(cand_model, cand_traj, t_in)
+            except InfeasibleCoefficientsError:
+                pass
         if cand_J is not None:
             beta, value, resid = cand, cand_value, cand_resid
             model, traj = cand_model, cand_traj
@@ -295,8 +297,6 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
                 raise NoDescentError(
                     f"damping exceeded {lm.lambda_max:g} without descent",
                     best_beta=beta, report=report)
-    else:
-        status = "max_iter"
     report = LMReport(status=status, iterations=it, final_lambda=lam,
                       grad_norm=float(np.abs(grad).max()), loss_value=value,
                       accepted_losses=tuple(accepted))
@@ -312,33 +312,24 @@ def constant_coefficients(basis: SplineBasis, level: float) -> np.ndarray:
     return level / basis.norm_factors
 
 
-@dataclass(frozen=True)
-class TwoStageConfig:
-    level_degree: int = 1
-    deriv_degree: int = 2
-    kernel: str = "gaussian"
-    bandwidth_grid: tuple | None = None
-
-
-def presmooth(data: Dataset, cfg: TwoStageConfig = TwoStageConfig()):
+def presmooth(data: Dataset):
     """Smoothed trajectory and derivative at the observation times.
 
     Level by local linear fit, derivative by local quadratic fit, each
-    with its own cross-validated bandwidth.
+    with a Gaussian kernel and its own bandwidth, cross-validated over 20
+    log-spaced values up to 0.5.  Their floor is 0.02 for ordinary sample
+    sizes and shrinks like 10/n on dense samples, where the wider floor
+    would leave irreducible smoothing bias.
     """
-    grid = cfg.bandwidth_grid if cfg.bandwidth_grid is not None \
-        else default_bandwidth_grid(data.n)
-    bw_level = cv_bandwidth(data, cfg.level_degree, cfg.kernel, grid)
-    level, _ = local_poly(data, cfg.level_degree, bw_level, cfg.kernel,
-                          data.times)
-    bw_deriv = cv_bandwidth(data, cfg.deriv_degree, cfg.kernel, grid)
-    _, deriv = local_poly(data, cfg.deriv_degree, bw_deriv, cfg.kernel,
-                          data.times)
+    grid = np.geomspace(min(0.02, 10.0 / max(data.n, 20)), 0.5, 20)
+    bw_level = cv_bandwidth(data, 1, "gaussian", grid)
+    level, _ = local_poly(data, 1, bw_level, "gaussian", data.times)
+    bw_deriv = cv_bandwidth(data, 2, "gaussian", grid)
+    _, deriv = local_poly(data, 2, bw_deriv, "gaussian", data.times)
     return level, deriv
 
 
 def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
-                  cfg: TwoStageConfig = TwoStageConfig(),
                   presmoothed=None) -> np.ndarray:
     """Regress the smoothed derivative on basis functions of the level.
 
@@ -346,7 +337,7 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
     trimmed-in observations.  A ridge jitter of 1e-10 I is added only
     when the normal matrix is numerically singular, with a warning.
     """
-    level, deriv = presmoothed if presmoothed is not None else presmooth(data, cfg)
+    level, deriv = presmoothed if presmoothed is not None else presmooth(data)
     mask = trim_mask(data.times, delta)
     if mask.sum() < basis.n_basis:
         raise SingularDesignError("fewer trimmed-in points than coefficients")
@@ -387,55 +378,86 @@ def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
     return constant_coefficients(basis, med)
 
 
-def _hat_diagonal(J: np.ndarray) -> np.ndarray:
-    JtJ = J.T @ J
-    sol = np.linalg.solve(JtJ, J.T)
-    return np.einsum("jm,mj->j", J, sol)
-
-
 def approximate_loo_score(resid: np.ndarray, J: np.ndarray) -> float:
     """Linearized leave-one-out score sum((r_j / (1 - H_jj))^2)."""
-    hat = _hat_diagonal(J)
+    try:
+        sol = np.linalg.solve(J.T @ J, J.T)
+    except np.linalg.LinAlgError as exc:
+        raise EstimatorError(f"singular normal matrix: {exc}") from None
+    hat = np.einsum("jm,mj->j", J, sol)
     denom = 1.0 - hat
     if (denom <= 1e-10).any():
         raise EstimatorError("hat matrix has leverage ~1; score undefined")
     return float(np.sum((resid / denom) ** 2))
 
 
-def _fit_single_M(data_fit: Dataset, config: FitConfig, delta: float,
-                  x0_hat: float, x1_hat: float, n_full: int, M: int,
-                  get_presmoothed):
-    """One candidate fit; ``get_presmoothed()`` returns presmooth(data_fit)."""
-    basis0 = make_basis(x0_hat, x1_hat, M, config.order)
-    order = config.order
-    eta = support_margin(M, n_full, basis0.smallest_support)
-    if not 0.0 < eta < basis0.knot_spacing:
-        raise EstimatorError(
-            f"margin {eta:.3g} outside (0, knot spacing) for M={M}")
-    basis = make_basis(x0_hat - eta, x1_hat + eta, M, order)
-    init = _initial_coefficients(data_fit, basis, delta, config.h, x0_hat,
-                                 get_presmoothed())
-    beta, report = lm_fit(init, data_fit, replace(config, delta=delta),
-                          x0_hat, basis)
-    resid, J = residuals_and_jacobian(beta, data_fit, delta, x0_hat, basis,
-                                      config.h)
-    cv = approximate_loo_score(resid, J)
-    n_eff = len(resid)
+def _gauss_newton(resid: np.ndarray, J: np.ndarray):
+    """(D, sigma2): D = sigma2 (J'J)^{-1}, sigma2 the residual mean square."""
+    n_eff, M = J.shape
     if n_eff <= M:
         raise EstimatorError(f"only {n_eff} trimmed-in points for M={M}")
     sigma2 = float(resid @ resid) / (n_eff - M)
     JtJ = J.T @ J
     try:
-        cov = sigma2 * np.linalg.inv(JtJ)
+        D = sigma2 * np.linalg.inv(JtJ)
     except np.linalg.LinAlgError:
         raise EstimatorError(
             f"singular normal matrix (cond={np.linalg.cond(JtJ):.3g})")
-    cov = 0.5 * (cov + cov.T)
+    return 0.5 * (D + D.T), sigma2
+
+
+class _Sample:
+    """What every candidate dimension shares: the trimming level, the
+    endpoints (from the even half), the odd half and its presmoothing."""
+
+    def __init__(self, data: Dataset, config: FitConfig):
+        if data.n < 10:
+            raise EstimatorError("need at least 10 observations")
+        self.n = data.n
+        self.delta = _delta_of(config, data)
+        self.endpoints = estimate_endpoints(data, self.delta)
+        self.fit_data = data.odd_half()
+        self._smoothed = None
+
+    def presmoothed(self):
+        # Every candidate smooths the same data: do it once, and fail each
+        # later candidate the same way.
+        if self._smoothed is None:
+            try:
+                self._smoothed = presmooth(self.fit_data)
+            except SmoothingError as exc:
+                self._smoothed = exc
+        if isinstance(self._smoothed, SmoothingError):
+            raise self._smoothed
+        return self._smoothed
+
+
+def _fit(sample: _Sample, config: FitConfig, M: int,
+         margin: float | None) -> FitResult:
+    x0_hat, x1_hat = sample.endpoints
+    delta, data_fit = sample.delta, sample.fit_data
+    basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
+    init = _initial_coefficients(data_fit, basis, delta, config.h, x0_hat,
+                                 sample.presmoothed())
+    beta, report = lm_fit(init, data_fit, replace(config, delta=delta),
+                          x0_hat, basis)
+    resid, J = residuals_and_jacobian(beta, data_fit, delta, x0_hat, basis,
+                                      config.h)
+    cv = approximate_loo_score(resid, J)
+    cov, sigma2 = _gauss_newton(resid, J)
     return FitResult(model=GradientModel(basis, beta), chosen_M=M,
                      loss_value=report.loss_value, cv_score=cv,
                      covariance=cov, sigma2_hat=sigma2,
                      endpoints=(x0_hat, x1_hat), delta=delta,
-                     convergence=report, n_eff=n_eff)
+                     convergence=report, n_eff=len(resid))
+
+
+def fit_at_dimension(data: Dataset, config: FitConfig, M: int,
+                     margin: float | None = None) -> FitResult:
+    """The whole fit at basis dimension M, with its LOO score and
+    covariance; ``margin`` defaults to ``support_margin``.  The
+    ``candidate_Ms`` of ``config`` are not read."""
+    return _fit(_Sample(data, config), config, M, margin)
 
 
 def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
@@ -446,37 +468,13 @@ def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     singular designs, no descent, ...) are recorded and skipped; ties in
     the score break toward the smaller dimension.
     """
-    if data.n < 10:
-        raise EstimatorError("need at least 10 observations")
-    delta = _delta_of(config, data)
-    x0_hat, x1_hat = estimate_endpoints(data, delta,
-                                        p=config.endpoint_degree,
-                                        kernel=config.kernel)
-    data_fit = data.odd_half()
-    ts_cfg = TwoStageConfig(kernel=config.kernel,
-                            bandwidth_grid=config.bandwidth_grid)
-    smoothed = []  # the presmooth result, or its SmoothingError
-
-    def get_presmoothed():
-        # Every candidate smooths the same data: do it once, on the first
-        # candidate that gets that far, and fail each later one the same way.
-        if not smoothed:
-            try:
-                smoothed.append(presmooth(data_fit, ts_cfg))
-            except SmoothingError as exc:
-                smoothed.append(exc)
-        if isinstance(smoothed[0], SmoothingError):
-            raise smoothed[0]
-        return smoothed[0]
-
+    sample = _Sample(data, config)
     fits: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for M in sorted(set(config.candidate_Ms)):
         try:
-            fits[M] = _fit_single_M(data_fit, config, delta, x0_hat, x1_hat,
-                                    data.n, M, get_presmoothed)
-        except (BasisError, EstimatorError, SmoothingError,
-                InsufficientDataError, TrajectoryDivergenceError) as exc:
+            fits[M] = _fit(sample, config, M, None)
+        except DynfitError as exc:
             failures[M] = f"{type(exc).__name__}: {exc}"
     if not fits:
         raise AllCandidatesFailedError(failures)
@@ -490,22 +488,11 @@ def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
 def covariance(fit: FitResult, data: Dataset, h: float = 1e-3):
     """Recompute the coefficient covariance on a given dataset.
 
-    Returns (D, sigma2) with D = sigma2 * (J'J)^{-1} and sigma2 the
-    residual mean square over the trimmed-in observations.
+    Returns (D, sigma2) as ``_gauss_newton`` does.
     """
-    resid, J = residuals_and_jacobian(fit.model.beta, data, fit.delta,
-                                      fit.endpoints[0], fit.model.basis, h)
-    n_eff, M = J.shape
-    if n_eff <= M:
-        raise EstimatorError("not enough observations for a variance estimate")
-    sigma2 = float(resid @ resid) / (n_eff - M)
-    JtJ = J.T @ J
-    try:
-        D = sigma2 * np.linalg.inv(JtJ)
-    except np.linalg.LinAlgError:
-        raise EstimatorError(
-            f"singular normal matrix (cond={np.linalg.cond(JtJ):.3g})")
-    return 0.5 * (D + D.T), sigma2
+    return _gauss_newton(*residuals_and_jacobian(
+        fit.model.beta, data, fit.delta, fit.endpoints[0], fit.model.basis,
+        h))
 
 
 def conditioning_diagnostic(fit: FitResult, data: Dataset,

@@ -7,14 +7,17 @@ shortened), with cubic-Hermite dense output using g as the slope.
 
 First-order sensitivities (one per coefficient, plus the sensitivity to
 the starting value) and second-order sensitivities satisfy linear ODEs
-driven by the trajectory; when g stays positive along the path they
-also admit closed-form quadrature expressions.  Both routes are
-implemented and are required to agree; the quadrature route doubles as
-the fast path for building least-squares Jacobians.  It integrates
-phi/g^2 on one Gauss-Legendre node table over the traversed state range
-(a few points per piece of every knot interval, with a piece halved only
-where its rule has not settled), so its cost does not grow with the
-number of query times beyond one short rule each.
+driven by the trajectory, integrated by one RK4 stepper over the packed
+state (x, S, A[, H]); the trajectory solver keeps its own scalar loop,
+which reuses g at each node as the next stage and the Hermite slope.
+When g > 0 along the path (decided exactly: g is piecewise polynomial)
+they also admit closed-form quadrature expressions.  Both routes are
+required to agree; the quadrature route is the fast path for
+least-squares Jacobians.  It integrates phi/g^2 on one Gauss-Legendre
+node table over the traversed state range (a few points per piece of
+every knot interval, with a piece halved only where its rule has not
+settled), so its cost does not grow with the number of query times
+beyond one short rule each.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .basis import SplineBasis
+from .errors import DynfitError
 
-_POSITIVITY_GRID = 4096
 # Node table of sensitivities_closed_form: Gauss-Legendre points per piece,
 # pieces per knot interval, and the error control of each piece.
 _GAUSS_NODES = 10
@@ -37,11 +40,11 @@ _MAX_HALVINGS = 12
 _GAUSS_TABLE = leggauss(_GAUSS_NODES)
 
 
-class TrajectoryDivergenceError(RuntimeError):
+class TrajectoryDivergenceError(DynfitError, RuntimeError):
     """State exceeded the overflow bound during integration."""
 
 
-class NonpositiveGradientError(RuntimeError):
+class NonpositiveGradientError(DynfitError, RuntimeError):
     """Closed-form sensitivities need g > 0 on the traversed range."""
 
 
@@ -57,7 +60,6 @@ class GradientModel:
     basis: SplineBasis
     beta: np.ndarray
     _gpoly: tuple = field(repr=False, default=None)
-    _min_g: float = field(repr=False, default=None)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -69,8 +71,6 @@ class GradientModel:
               np.einsum("jkm,k->jm", c1, beta),
               np.einsum("jkm,k->jm", c2, beta))
         object.__setattr__(self, "_gpoly", gp)
-        grid = np.linspace(self.basis.x_lo, self.basis.x_hi, _POSITIVITY_GRID)
-        object.__setattr__(self, "_min_g", float(self.g(grid).min()))
 
     @property
     def n_params(self) -> int:
@@ -78,12 +78,25 @@ class GradientModel:
 
     @property
     def min_gradient(self) -> float:
-        """Minimum of g over a dense grid on the basis domain."""
-        return self._min_g
+        """Minimum of g over the basis domain."""
+        return self.min_on(self.basis.x_lo, self.basis.x_hi)
 
     @property
     def is_positive(self) -> bool:
-        return self._min_g > 0.0
+        return self.min_gradient > 0.0
+
+    def min_on(self, lo: float, hi: float) -> float:
+        """Exact minimum of g over [lo, hi]: g is evaluated at lo, hi, the
+        breakpoints between them and the roots of g' on each interval."""
+        bas = self.basis
+        lo, hi = (min(max(float(v), bas.x_lo), bas.x_hi) for v in (lo, hi))
+        bp = bas.breakpoints
+        points = [np.array([lo, hi]), bp[(bp > lo) & (bp < hi)]]
+        first, last = bas.interval_index(np.array([lo, hi]))
+        for j in range(first, last + 1):
+            roots = bp[j] + np.roots(self._gpoly[1][j][::-1]).real
+            points.append(np.clip(roots, max(lo, bp[j]), min(hi, bp[j + 1])))
+        return float(self.g(np.concatenate(points)).min())
 
     def _poly_at(self, x: float, which: int) -> float:
         bas = self.basis
@@ -101,12 +114,7 @@ class GradientModel:
         """Gradient value(s); flat extension outside the domain."""
         if np.ndim(x) == 0:
             return self._poly_at(float(x), 0)
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.basis.x_lo, self.basis.x_hi)
-        j = self.basis.interval_index(xc)
-        u = xc - self.basis.breakpoints[j]
-        powers = u[:, None] ** np.arange(self.basis.order)
-        return np.einsum("jm,jm->j", self._gpoly[0][j], powers)
+        return self._poly_vec(np.asarray(x, dtype=float), 0)
 
     def g_prime(self, x):
         """First derivative; zero outside the domain (flat extension)."""
@@ -124,12 +132,16 @@ class GradientModel:
                 return 0.0
             return self._poly_at(x, which)
         x = np.asarray(x, dtype=float)
-        j = self.basis.interval_index(np.clip(x, lo, hi))
-        u = np.clip(x, lo, hi) - self.basis.breakpoints[j]
-        powers = u[:, None] ** np.arange(self.basis.order)
-        vals = np.einsum("jm,jm->j", self._gpoly[which][j], powers)
+        vals = self._poly_vec(x, which)
         vals[(x < lo) | (x > hi)] = 0.0
         return vals
+
+    def _poly_vec(self, x: np.ndarray, which: int) -> np.ndarray:
+        xc = np.clip(x, self.basis.x_lo, self.basis.x_hi)
+        j = self.basis.interval_index(xc)
+        powers = (xc - self.basis.breakpoints[j])[:, None] \
+            ** np.arange(self.basis.order)
+        return np.einsum("jm,jm->j", self._gpoly[which][j], powers)
 
     def basis_row(self, x):
         """Basis values clamped to the boundary outside the domain.
@@ -149,7 +161,6 @@ class TrajectorySolution:
     t_grid: np.ndarray
     x_values: np.ndarray
     f_values: np.ndarray  # g(x) at the grid nodes, the Hermite slopes
-    step_size: float
     t_start: float
     t_end: float
     x_start: float
@@ -172,9 +183,6 @@ class TrajectorySolution:
         out = (h00 * self.x_values[i] + h10 * dt * self.f_values[i]
                + h01 * self.x_values[i + 1] + h11 * dt * self.f_values[i + 1])
         return float(out[0]) if scalar else out
-
-    def __call__(self, t):
-        return self.state_at(t)
 
 
 def _time_grid(t_start: float, t_end: float, h: float,
@@ -232,8 +240,8 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
         if f <= 0.0:
             nonpos = True
     return TrajectorySolution(t_grid=grid, x_values=xs, f_values=fs,
-                              step_size=h, t_start=float(t_start),
-                              t_end=float(t_end), x_start=float(x_start),
+                              t_start=float(t_start), t_end=float(t_end),
+                              x_start=float(x_start),
                               nonpositive_encountered=bool(nonpos))
 
 
@@ -253,10 +261,27 @@ class SensitivityBundle:
     hessian: np.ndarray | None = None
 
 
-def _augmented_rhs(model, x, S, A):
+def _rk4(rhs, model, y0, grid) -> np.ndarray:
+    """Classical RK4 for y' = rhs(model, y); the state at every grid node."""
+    ys = np.empty((len(grid), len(y0)))
+    ys[0] = y = y0
+    for i, dt in enumerate(np.diff(grid)):
+        k1 = rhs(model, y)
+        k2 = rhs(model, y + 0.5 * dt * k1)
+        k3 = rhs(model, y + 0.5 * dt * k2)
+        k4 = rhs(model, y + dt * k3)
+        y = y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        ys[i + 1] = y
+    return ys
+
+
+def _sensitivity_rhs(model, y):
+    """(x, S, A)' = (g(x), g'(x) S + phi(x), g'(x) A), phi the clamped row."""
+    M = model.n_params
+    x = y[0]
     gp = model.g_prime(x)
-    phi = model.basis_row(x)
-    return model.g(x), S * gp + phi, A * gp
+    return np.concatenate(([model.g(x)], y[1:M + 1] * gp + model.basis_row(x),
+                           [y[M + 1] * gp]))
 
 
 def sensitivities_ode(model, traj: TrajectorySolution,
@@ -268,42 +293,14 @@ def sensitivities_ode(model, traj: TrajectorySolution,
     times, so the bundle is read off at exact grid nodes.
     """
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    grid = np.unique(np.concatenate([traj.t_grid, t_query]))
     if t_query.min() < traj.t_start - 1e-12 or t_query.max() > traj.t_end + 1e-12:
         raise ValueError("query time outside the solved window")
     M = model.n_params
-    x = traj.x_start
-    S = np.zeros(M)
-    A = 1.0
-    want = {round(t, 15) for t in t_query}
-    out_S = {}
-    out_A = {}
-
-    def record(t, S, A):
-        key = round(t, 15)
-        if key in want:
-            out_S[key] = S.copy()
-            out_A[key] = A
-
-    record(grid[0], S, A)
-    for i in range(len(grid) - 1):
-        dt = grid[i + 1] - grid[i]
-        kx1, kS1, kA1 = _augmented_rhs(model, x, S, A)
-        kx2, kS2, kA2 = _augmented_rhs(model, x + 0.5 * dt * kx1,
-                                       S + 0.5 * dt * kS1, A + 0.5 * dt * kA1)
-        kx3, kS3, kA3 = _augmented_rhs(model, x + 0.5 * dt * kx2,
-                                       S + 0.5 * dt * kS2, A + 0.5 * dt * kA2)
-        kx4, kS4, kA4 = _augmented_rhs(model, x + dt * kx3,
-                                       S + dt * kS3, A + dt * kA3)
-        x = x + dt * (kx1 + 2 * kx2 + 2 * kx3 + kx4) / 6.0
-        S = S + dt * (kS1 + 2 * kS2 + 2 * kS3 + kS4) / 6.0
-        A = A + dt * (kA1 + 2 * kA2 + 2 * kA3 + kA4) / 6.0
-        record(grid[i + 1], S, A)
-
-    jac = np.vstack([out_S[round(t, 15)] for t in t_query])
-    init = np.array([out_A[round(t, 15)] for t in t_query])
-    return SensitivityBundle(t_query=t_query, jacobian=jac,
-                             initial_sensitivity=init)
+    grid = np.unique(np.concatenate([traj.t_grid, t_query]))
+    y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0]))
+    ys = _rk4(_sensitivity_rhs, model, y0, grid)[grid.searchsorted(t_query)]
+    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
+                             initial_sensitivity=ys[:, M + 1])
 
 
 def _settled_table(integral, edges):
@@ -360,8 +357,7 @@ def sensitivities_closed_form(model, traj: TrajectorySolution,
     x0 = traj.x_start
     x_lo = min(float(xq.min()), x0)
     x_hi = max(float(xq.max()), x0)
-    check = np.linspace(x_lo, x_hi, 1024)
-    if np.min(model.g(check)) <= 0.0:
+    if model.min_on(x_lo, x_hi) <= 0.0:
         raise NonpositiveGradientError(
             "gradient is not positive on the traversed state range")
 
@@ -418,56 +414,26 @@ def _basis_prime_row(model, x):
     return np.zeros(model.n_params)
 
 
-def _hessian_rhs(model, x, S, A, H):
-    g = model.g(x)
-    gp = model.g_prime(x)
-    gpp = model.g_second(x)
-    phi = model.basis_row(x)
-    phip = _basis_prime_row(model, x)
-    dS = S * gp + phi
-    cross = np.outer(S, phip)
-    dH = H * gp + cross + cross.T + gpp * np.outer(S, S)
-    return g, dS, A * gp, dH
+def _hessian_rhs(model, y):
+    """(x, S, A, H)' with H' = g' H + S phi'^T + phi' S^T + g'' S S^T."""
+    M = model.n_params
+    x, S, H = y[0], y[1:M + 1], y[M + 2:].reshape(M, M)
+    cross = np.outer(S, _basis_prime_row(model, x))
+    dH = (H * model.g_prime(x) + cross + cross.T
+          + model.g_second(x) * np.outer(S, S))
+    return np.concatenate((_sensitivity_rhs(model, y[:M + 2]), dH.ravel()))
 
 
 def _hessian_ode(model, traj, t_query):
-    grid = np.unique(np.concatenate([traj.t_grid, t_query]))
     M = model.n_params
-    x = traj.x_start
-    S = np.zeros(M)
-    A = 1.0
-    H = np.zeros((M, M))
-    want = {round(t, 15) for t in t_query}
-    out = {}
-    outS = {}
-    outA = {}
-    if round(grid[0], 15) in want:
-        out[round(grid[0], 15)] = H.copy()
-        outS[round(grid[0], 15)] = S.copy()
-        outA[round(grid[0], 15)] = A
-    for i in range(len(grid) - 1):
-        dt = grid[i + 1] - grid[i]
-        k1 = _hessian_rhs(model, x, S, A, H)
-        k2 = _hessian_rhs(model, x + 0.5 * dt * k1[0], S + 0.5 * dt * k1[1],
-                          A + 0.5 * dt * k1[2], H + 0.5 * dt * k1[3])
-        k3 = _hessian_rhs(model, x + 0.5 * dt * k2[0], S + 0.5 * dt * k2[1],
-                          A + 0.5 * dt * k2[2], H + 0.5 * dt * k2[3])
-        k4 = _hessian_rhs(model, x + dt * k3[0], S + dt * k3[1],
-                          A + dt * k3[2], H + dt * k3[3])
-        x += dt * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-        S = S + dt * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-        A += dt * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
-        H = H + dt * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]) / 6.0
-        key = round(grid[i + 1], 15)
-        if key in want:
-            out[key] = 0.5 * (H + H.T)
-            outS[key] = S.copy()
-            outA[key] = A
-    jac = np.vstack([outS[round(t, 15)] for t in t_query])
-    init = np.array([outA[round(t, 15)] for t in t_query])
-    hess = np.stack([out[round(t, 15)] for t in t_query])
-    return SensitivityBundle(t_query=t_query, jacobian=jac,
-                             initial_sensitivity=init, hessian=hess)
+    grid = np.unique(np.concatenate([traj.t_grid, t_query]))
+    y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0],
+                         np.zeros(M * M)))
+    ys = _rk4(_hessian_rhs, model, y0, grid)[grid.searchsorted(t_query)]
+    H = ys[:, M + 2:].reshape(-1, M, M)
+    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
+                             initial_sensitivity=ys[:, M + 1],
+                             hessian=0.5 * (H + H.transpose(0, 2, 1)))
 
 
 def _knot_crossing_times(model, traj) -> np.ndarray:
@@ -511,13 +477,13 @@ def _hessian_quadrature(model, traj, t_query, n_nodes: int = 24):
         for a, b in zip(edges[:-1], edges[1:]):
             all_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * z)
     nodes = np.unique(np.concatenate(all_nodes))
-    bundle = sensitivities_ode(model, traj, nodes)
-    S_at = {round(t, 15): bundle.jacobian[i] for i, t in enumerate(nodes)}
-    x_at = {round(t, 15): traj.state_at(t) for t in nodes}
+    S_at = sensitivities_ode(model, traj, nodes).jacobian
+    x_at = traj.state_at(nodes)
 
     def integrand(s):
-        xs = x_at[round(s, 15)]
-        Ss = S_at[round(s, 15)]
+        # every s is one of the nodes, computed by the same expression
+        i = np.searchsorted(nodes, s)
+        xs, Ss = x_at[i], S_at[i]
         cross = np.outer(Ss, _basis_prime_row(model, xs))
         return (cross + cross.T
                 + model.g_second(xs) * np.outer(Ss, Ss)) / model.g(xs)
@@ -532,8 +498,7 @@ def _hessian_quadrature(model, traj, t_query, n_nodes: int = 24):
                 acc += half * wi * integrand(mid + half * zi)
         g_t = model.g(traj.state_at(tq))
         hess.append(g_t * 0.5 * (acc + acc.T))
-    jac = np.vstack([S_at[round(t, 15)] for t in t_query])
-    init = np.array([model.g(x_at[round(t, 15)]) / model.g(traj.x_start)
-                     for t in t_query])
-    return SensitivityBundle(t_query=t_query, jacobian=jac,
+    rows = np.searchsorted(nodes, t_query)
+    init = model.g(x_at[rows]) / model.g(traj.x_start)
+    return SensitivityBundle(t_query=t_query, jacobian=S_at[rows],
                              initial_sensitivity=init, hessian=np.stack(hess))

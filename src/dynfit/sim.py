@@ -5,7 +5,8 @@ function drives a monotone trajectory from x(0) = 0.25; each replicate
 draws a sample size from {60, ..., 100}, uniform observation times, and
 Gaussian noise with sd 0.01, then fits both the integral-curve
 estimator (with data-driven dimension selection) and the two-stage
-regression estimator on the same data and basis.
+regression estimator on the same data and basis.  The rate and
+conditioning sweeps fit at a forced dimension with ``fit_at_dimension``.
 
 Streams are counter-based (Philox keyed by (seed, replicate index)), so
 replicates are independent and insensitive to execution order.
@@ -19,12 +20,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .basis import make_basis
-from .estimator import (AllCandidatesFailedError, EstimatorError, FitConfig,
-                        FitResult, TwoStageConfig, _initial_coefficients,
-                        lm_fit, presmooth, residuals_and_jacobian, select_M,
+from .errors import DynfitError
+from .estimator import (EstimatorError, FitConfig, _delta_of,
+                        conditioning_diagnostic, fit_at_dimension, select_M,
                         support_margin, two_stage_fit)
 from .ode import GradientModel, solve_trajectory
-from .smooth import Dataset, choose_delta, estimate_endpoints
+from .smooth import Dataset, estimate_endpoints
 
 TRUE_KNOT_INTERVAL = (0.1, 1.1)
 TRUE_RAW_COEFFICIENTS = (0.1, 1.2, 1.6, 0.4)
@@ -122,15 +123,18 @@ def _model_ise(fit_model: GradientModel, true_model: GradientModel,
 
 def run_replicate(spec: SimSpec, index: int, config: FitConfig,
                   truth=None) -> ReplicateReport:
-    """Generate one dataset and fit both estimators on it."""
+    """Generate one dataset and fit both estimators on it.
+
+    A fit that fails with a DynfitError is reported as a failed
+    replicate; any other exception propagates.
+    """
     truth = truth if truth is not None else _true_trajectory(spec)
     data = generate_dataset(spec, index, _truth=truth)
-    delta_used = config.delta if config.delta is not None \
-        else choose_delta(data.times)
+    delta_used = _delta_of(config, data)
     x_true = (truth.state_at(delta_used), truth.state_at(1.0 - delta_used))
     try:
         fit = select_M(data, config)
-    except Exception as exc:
+    except DynfitError as exc:
         return ReplicateReport(seed=index, n=data.n, chosen_M=-1,
                                ise_onestep=np.nan, ise_twostage=np.nan,
                                endpoint_errors=(np.nan, np.nan),
@@ -139,9 +143,7 @@ def run_replicate(spec: SimSpec, index: int, config: FitConfig,
     lo, hi = fit.endpoints
     ise1 = _model_ise(fit.model, spec.true_model, lo, hi)
     try:
-        beta_ts = two_stage_fit(data.odd_half(), fit.model.basis, fit.delta,
-                                TwoStageConfig(kernel=config.kernel,
-                                               bandwidth_grid=config.bandwidth_grid))
+        beta_ts = two_stage_fit(data.odd_half(), fit.model.basis, fit.delta)
         ise2 = _model_ise(GradientModel(fit.model.basis, beta_ts),
                           spec.true_model, lo, hi)
     except EstimatorError:
@@ -195,32 +197,6 @@ def run_study(spec: SimSpec, config: FitConfig | None = None):
     return reports, summary
 
 
-def fit_fixed_dimension(data: Dataset, config: FitConfig, n_basis: int,
-                        margin: float | None = None) -> FitResult:
-    """One fit at a forced basis dimension (no selection)."""
-    cfg = replace(config, candidate_Ms=(n_basis,))
-    if margin is None:
-        return select_M(data, cfg)
-    delta = cfg.delta if cfg.delta is not None else choose_delta(data.times)
-    x0h, x1h = estimate_endpoints(data, delta, p=cfg.endpoint_degree,
-                                  kernel=cfg.kernel)
-    dfit = data.odd_half()
-    basis = make_basis(x0h - margin, x1h + margin, n_basis, cfg.order)
-    ts = TwoStageConfig(kernel=cfg.kernel, bandwidth_grid=cfg.bandwidth_grid)
-    init = _initial_coefficients(dfit, basis, delta, cfg.h, x0h,
-                                 presmooth(dfit, ts))
-    beta, report = lm_fit(init, dfit, replace(cfg, delta=delta), x0h, basis)
-    resid, J = residuals_and_jacobian(beta, dfit, delta, x0h, basis, cfg.h)
-    n_eff = len(resid)
-    sigma2 = float(resid @ resid) / max(n_eff - n_basis, 1)
-    cov = sigma2 * np.linalg.pinv(J.T @ J)
-    return FitResult(model=GradientModel(basis, beta), chosen_M=n_basis,
-                     loss_value=report.loss_value, cv_score=np.nan,
-                     covariance=cov, sigma2_hat=sigma2,
-                     endpoints=(x0h, x1h), delta=delta, convergence=report,
-                     n_eff=n_eff)
-
-
 def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
                        config: FitConfig | None = None) -> dict:
     """Smallest eigenvalue of the sensitivity Gram matrix across dims.
@@ -231,24 +207,16 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
     (1/n) J'J per dimension and the shrink factor per doubling.
     """
     config = config if config is not None else FitConfig()
-    spec_n = replace(spec, sigma=0.0, n_range=(n, n))
-    data = generate_dataset(spec_n, 0)
-    delta = config.delta if config.delta is not None \
-        else choose_delta(data.times)
-    cfg = replace(config, delta=delta)
-    x0h, x1h = estimate_endpoints(data, delta, p=cfg.endpoint_degree,
-                                  kernel=cfg.kernel)
-    ref = make_basis(x0h, x1h, max(dims), cfg.order)
+    data = generate_dataset(replace(spec, sigma=0.0, n_range=(n, n)), 0)
+    x0h, x1h = estimate_endpoints(data, _delta_of(config, data))
+    ref = make_basis(x0h, x1h, max(dims), config.order)
     margin = support_margin(max(dims), n, ref.smallest_support)
-    lam = {}
-    for M in sorted(dims):
-        fit = fit_fixed_dimension(data, cfg, M, margin=margin)
-        _, J = residuals_and_jacobian(fit.model.beta, data.odd_half(), delta,
-                                      x0h, fit.model.basis, cfg.h)
-        lam[M] = float(np.linalg.eigvalsh((J.T @ J) / len(J))[0])
-    dims_sorted = sorted(dims)
+    lam = {M: conditioning_diagnostic(
+               fit_at_dimension(data, config, M, margin=margin),
+               data.odd_half(), config.h)["lambda_min"]
+           for M in sorted(dims)}
     factors = {f"{a}->{2 * a}": lam[a] / lam[2 * a]
-               for a in dims_sorted if 2 * a in lam}
+               for a in lam if 2 * a in lam}
     return {"lambda_min": lam, "shrink_factors": factors, "n": n,
             "margin": margin}
 
@@ -281,8 +249,8 @@ def rate_sweep(spec: SimSpec, n_list, replicates: int = 30,
         for i in range(replicates):
             data = generate_dataset(spec_n, i, _truth=truth)
             try:
-                fit = fit_fixed_dimension(data, config, M)
-            except Exception:
+                fit = fit_at_dimension(data, config, M)
+            except DynfitError:
                 continue
             ises.append(_model_ise(fit.model, spec_n.true_model,
                                    *fit.endpoints))

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DynfitError
 
-class SmoothingError(RuntimeError):
+
+class SmoothingError(DynfitError, RuntimeError):
     """Local design matrix singular at one or more query points."""
 
     def __init__(self, message, bad_queries=None):
@@ -31,8 +33,12 @@ class SmoothingError(RuntimeError):
         self.bad_queries = bad_queries
 
 
-class InsufficientDataError(RuntimeError):
+class InsufficientDataError(DynfitError, RuntimeError):
     """Too few observations near a query point."""
+
+
+class TrimmingError(DynfitError, ValueError):
+    """Too few observations, or too unevenly placed, to trim."""
 
 
 @dataclass(frozen=True)
@@ -152,20 +158,6 @@ def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
     return coef[:, 0], coef[:, 1] / bandwidth
 
 
-@dataclass(frozen=True)
-class LocalPolyFit:
-    """A configured smoother; calling it evaluates (level, derivative)."""
-
-    data: Dataset
-    degree: int
-    bandwidth: float
-    kernel: str = "gaussian"
-
-    def __call__(self, t_query):
-        return local_poly(self.data, self.degree, self.bandwidth,
-                          self.kernel, t_query)
-
-
 def _loo_errors(data: Dataset, degree: int, bandwidth: float,
                 kernel: str, query_idx=None) -> np.ndarray | None:
     """Exact leave-one-out residuals of the level fit at the data times.
@@ -240,18 +232,19 @@ def choose_delta(times, frac: float = 0.05) -> float:
 
     Returns the smallest delta such that at least ceil(frac*n) points
     fall in [0, delta] and in [1-delta, 1], placed midway between the
-    adjacent order statistics.
+    adjacent order statistics.  Raises TrimmingError (a ValueError) when
+    that leaves no usable window.
     """
     t = np.sort(np.asarray(times, dtype=float))
     n = len(t)
     k = int(np.ceil(frac * n))
     if n < 2 * k + 2:
-        raise ValueError("too few observations to trim")
+        raise TrimmingError("too few observations to trim")
     lo = 0.5 * (t[k - 1] + t[k])
     hi = 0.5 * (t[n - k - 1] + t[n - k])
     delta = max(lo, 1.0 - hi)
     if not 0.0 < delta < 0.5:
-        raise ValueError(f"degenerate trimming level {delta:.4g}")
+        raise TrimmingError(f"degenerate trimming level {delta:.4g}")
     return float(delta)
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.interpolate import BSpline
 
-from dynfit.basis import BasisError, eval_basis, gram_matrix, make_basis
+from dynfit.basis import BasisError, gram_matrix, make_basis
 from reference import central_difference, raw_basis_values
 
 
@@ -69,10 +69,10 @@ def test_matches_scipy_evaluation(M, order):
 def test_outside_domain_is_zero():
     basis = make_basis(0.0, 1.0, 6, order=4)
     for deriv in (0, 1, 2):
-        assert np.all(eval_basis(basis, -0.5, deriv) == 0.0)
-        assert np.all(eval_basis(basis, 1.5, deriv) == 0.0)
+        assert np.all(basis.eval(-0.5, deriv) == 0.0)
+        assert np.all(basis.eval(1.5, deriv) == 0.0)
     # the right boundary itself is inside
-    assert eval_basis(basis, 1.0)[-1] > 0
+    assert basis.eval(1.0)[-1] > 0
 
 
 def test_deriv_argument_validated():

@@ -106,6 +106,19 @@ def test_fit_traj_grid_uses_step_size(single_csv, tmp_path):
         traj.state_at(ts).tolist()
 
 
+def test_fit_programming_error_is_not_a_failed_subject(single_csv, tmp_path,
+                                                       monkeypatch, capsys):
+    import dynfit.cli as cli
+
+    def broken(data, config):
+        raise TypeError("a bug, not a failed fit")
+
+    monkeypatch.setattr(cli, "select_M", broken)
+    assert main(["fit", single_csv, "--out", str(tmp_path / "o")]) == 1
+    assert "TypeError" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_fit_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

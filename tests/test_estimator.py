@@ -5,9 +5,9 @@ from dynfit.basis import SplineBasis, make_basis
 from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               FitConfig, InfeasibleCoefficientsError,
                               LMConfig, NoDescentError, SingularDesignError,
-                              TwoStageConfig, approximate_loo_score,
-                              conditioning_diagnostic, constant_coefficients,
-                              covariance, lm_fit, loss, presmooth,
+                              approximate_loo_score, conditioning_diagnostic,
+                              constant_coefficients, covariance,
+                              fit_at_dimension, lm_fit, loss, presmooth,
                               residuals_and_jacobian, select_M,
                               support_margin, trim_mask, two_stage_fit)
 from dynfit.ode import GradientModel, solve_trajectory
@@ -265,6 +265,36 @@ def test_loo_score_formula():
     assert approximate_loo_score(r, J) == pytest.approx(expected)
 
 
+def test_loo_score_singular_design():
+    J = np.random.default_rng(4).standard_normal((30, 3))
+    J[:, 1] = 0.0
+    with pytest.raises(EstimatorError):
+        approximate_loo_score(np.ones(30), J)
+
+
+def test_fit_at_dimension_is_the_selection_body(true_trajectory):
+    d = make_replicate(true_trajectory, seed=10, n=90, sigma=0.01)
+    one = fit_at_dimension(d, FitConfig(), 5)
+    sel = select_M(d, FitConfig(candidate_Ms=(5,)))
+    np.testing.assert_array_equal(one.model.beta, sel.model.beta)
+    np.testing.assert_array_equal(one.covariance, sel.covariance)
+    assert one.cv_score == sel.cv_score
+
+
+def test_fit_at_dimension_default_margin(true_trajectory):
+    d = make_replicate(true_trajectory, seed=10, n=90, sigma=0.01)
+    default = fit_at_dimension(d, FitConfig(), 5)
+    x0, x1 = default.endpoints
+    s_M = make_basis(x0, x1, 5, 4).smallest_support
+    given = fit_at_dimension(d, FitConfig(), 5,
+                             margin=support_margin(5, d.n, s_M))
+    np.testing.assert_array_equal(given.model.beta, default.model.beta)
+    np.testing.assert_array_equal(given.covariance, default.covariance)
+    assert given.cv_score == default.cv_score
+    with pytest.raises(EstimatorError):
+        fit_at_dimension(d, FitConfig(), 5, margin=0.0)
+
+
 def test_select_single_candidate_unconditional(true_trajectory):
     d = make_replicate(true_trajectory, seed=10, n=90, sigma=0.01)
     fit = select_M(d, FitConfig(candidate_Ms=(5,)))
@@ -293,9 +323,9 @@ def test_select_presmooths_once(true_trajectory, monkeypatch):
 
     calls = []
 
-    def counted(data, cfg):
+    def counted(data):
         calls.append(data.n)
-        return presmooth(data, cfg)
+        return presmooth(data)
 
     monkeypatch.setattr(estimator, "presmooth", counted)
     d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
@@ -303,7 +333,7 @@ def test_select_presmooths_once(true_trajectory, monkeypatch):
     assert sorted(fit.candidate_scores) == [4, 5]
     assert calls == [40]
 
-    def failing(data, cfg):
+    def failing(data):
         calls.append(data.n)
         raise SmoothingError("all candidate bandwidths give singular designs")
 

@@ -238,6 +238,26 @@ def test_closed_form_requires_positive_gradient():
         sensitivities_closed_form(model, traj, [0.4])
 
 
+def test_positivity_is_exact_between_grid_nodes():
+    # g = (x - c)^2 - 1e-10 dips below zero only within 1e-5 of c, which
+    # lies midway between two nodes of a 4096-point grid on [0, 1]
+    basis = make_basis(0.0, 1.0, 6, 4)
+    c = 2047.5 / 4095
+    xs = np.linspace(0.0, 1.0, 200)
+    beta = np.linalg.lstsq(basis.eval(xs), (xs - c) ** 2 - 1e-10,
+                           rcond=None)[0]
+    model = GradientModel(basis, beta)
+    assert model.g(c) < 0.0
+    assert not model.is_positive
+    assert model.min_gradient == pytest.approx(-1e-10, rel=1e-3)
+    assert model.min_on(0.6, 0.9) == pytest.approx(0.01 - 1e-10)
+    # a path from 0.1 to 0.9 (driven by a constant gradient) crosses c
+    flat = GradientModel(basis, 0.8 / basis.norm_factors)
+    traj = solve_trajectory(flat, 0.0, 1.0, 0.1, h=1e-3)
+    with pytest.raises(NonpositiveGradientError):
+        sensitivities_closed_form(model, traj, [0.25, 1.0])
+
+
 def test_hessian_routes_and_symmetry(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.3, 0.6])

@@ -114,6 +114,17 @@ def test_run_replicate_failure_is_recorded():
     assert np.isnan(rep.ise_onestep)
 
 
+def test_run_replicate_propagates_programming_errors(monkeypatch):
+    import dynfit.sim as sim
+
+    def broken(data, config):
+        raise TypeError("a bug, not a failed fit")
+
+    monkeypatch.setattr(sim, "select_M", broken)
+    with pytest.raises(TypeError):
+        run_replicate(SimSpec(rng_seed=3, replicates=1), 0, FitConfig())
+
+
 def test_rate_sweep_needs_four_sizes():
     with pytest.raises(ValueError):
         rate_sweep(SimSpec(), [500], replicates=2)

@@ -4,9 +4,9 @@ import pytest
 import dynfit.smooth as smooth
 from dynfit.estimator import presmooth
 from dynfit.sim import SimSpec, generate_dataset
-from dynfit.smooth import (Dataset, InsufficientDataError, LocalPolyFit,
-                           SmoothingError, choose_delta, cv_bandwidth,
-                           estimate_endpoints, local_poly)
+from dynfit.smooth import (Dataset, InsufficientDataError, SmoothingError,
+                           choose_delta, cv_bandwidth, estimate_endpoints,
+                           local_poly)
 from conftest import make_replicate
 from reference import local_poly_lstsq
 
@@ -129,10 +129,9 @@ def test_presmooth_memory_is_bounded():
     assert peak < 16 * 2 ** 20
 
 
-def test_local_poly_fit_wrapper():
+def test_local_poly_linear_data():
     t = np.linspace(0, 1, 40)
-    fit = LocalPolyFit(Dataset(t, 3 * t), degree=1, bandwidth=0.3)
-    level, deriv = fit([0.5])
+    level, deriv = local_poly(Dataset(t, 3 * t), 1, 0.3, "gaussian", [0.5])
     assert level[0] == pytest.approx(1.5)
     assert deriv[0] == pytest.approx(3.0)
 
