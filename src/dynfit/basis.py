@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DynfitError
 
@@ -74,10 +73,49 @@ def _build_coefficient_table(knots: np.ndarray, breakpoints: np.ndarray,
     return np.ascontiguousarray(table.transpose(1, 0, 2))
 
 
+def _legendre_value(x: np.ndarray, c) -> np.ndarray:
+    """Legendre series sum_k c[k] P_k(x) by Clenshaw's recursion."""
+    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    The floating-point steps of ``numpy.polynomial.legendre.leggauss``
+    (eigenvalues of the symmetric companion matrix, one Newton step,
+    symmetrised weights), so the table is the same bit for bit without
+    importing ``numpy.polynomial``, which costs memory in every process.
+    """
+    c = [0.0] * n + [1.0]
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dc = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0
+          for k in range(n)]
+    df = _legendre_value(x, dc)
+    x -= _legendre_value(x, c) / df
+    fm = _legendre_value(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 def _gauss_nodes(breakpoints: np.ndarray, n_nodes: int):
     """Gauss-Legendre nodes on every knot interval, one row per interval,
     with the intervals' half-lengths and the reference weights."""
-    z, w = leggauss(n_nodes)
+    z, w = _leggauss(n_nodes)
     mid = 0.5 * (breakpoints[1:] + breakpoints[:-1])
     half = 0.5 * np.diff(breakpoints)
     return mid[:, None] + half[:, None] * z[None, :], half, w

@@ -125,8 +125,8 @@ def _subject_record(subject: str, fit, time_map, h: float) -> dict:
 def _write_outputs(base: str, payload: dict, rows, columns, fmt: str):
     if fmt in ("json", "both"):
         with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True,
+                                separators=(",", ":")) + "\n")
     if fmt in ("csv", "both") and rows is not None:
         with open(base + ".csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -347,7 +347,9 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
             "smoothed states do not cover the support of every basis function")
     normal = design.T @ design
     rhs = design.T @ deriv[mask]
-    cond = np.linalg.cond(normal)
+    # condition number of the symmetric normal matrix from its eigenvalues
+    size = np.abs(np.linalg.eigvalsh(normal))
+    cond = size.max() / size.min() if size.min() > 0.0 else np.inf
     if not np.isfinite(cond) or cond > 1e12:
         warnings.warn("two-stage normal matrix numerically singular; "
                       "adding 1e-10 ridge jitter", RuntimeWarning)
@@ -356,6 +358,18 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
         return np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError(f"two-stage normal equations failed: {exc}")
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d float array: the mean of the middle one or
+    two sorted values, NaN if there is none or any value is NaN.  Sorting
+    directly avoids the ``numpy.ma`` import that ``np.median`` makes on
+    its first call."""
+    values = np.sort(values)
+    if len(values) == 0 or np.isnan(values[-1]):
+        return float("nan")
+    n = len(values)
+    return float(np.mean(values[(n - 1) // 2:n // 2 + 1]))
 
 
 def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
@@ -371,7 +385,7 @@ def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
     except SingularDesignError:
         pass
     mask = trim_mask(data.times, delta)
-    med = float(np.median(presmoothed[1][mask]))
+    med = _median(presmoothed[1][mask])
     if med <= 0.0:
         raise InfeasibleCoefficientsError(
             "median smoothed derivative is nonpositive; no feasible start")

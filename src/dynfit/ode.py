@@ -10,6 +10,15 @@ the starting value) and second-order sensitivities satisfy linear ODEs
 driven by the trajectory, integrated by one RK4 stepper over the packed
 state (x, S, A[, H]); the trajectory solver keeps its own scalar loop,
 which reuses g at each node as the next stage and the Hermite slope.
+
+That loop runs on Python floats, not numpy scalars: the step sizes come
+from ``np.diff`` of the grid as a list, and the scalar path of g reads
+its breakpoints and coefficient rows from lists, finds the interval by
+``bisect`` and applies Horner's rule.  Both kinds of scalar are IEEE
+doubles and every operation keeps its operands and its order, so the
+states and slopes are the same bit for bit as on numpy scalars
+(``tests/reference.py`` keeps that loop as the reference).
+
 When g > 0 along the path (decided exactly: g is piecewise polynomial)
 they also admit closed-form quadrature expressions.  Both routes are
 required to agree; the quadrature route is the fast path for
@@ -22,13 +31,13 @@ beyond one short rule each.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .basis import SplineBasis
+from .basis import SplineBasis, _leggauss
 from .errors import DynfitError
 
 # Node table of sensitivities_closed_form: Gauss-Legendre points per piece,
@@ -37,7 +46,7 @@ _GAUSS_NODES = 10
 _SUBINTERVALS = 8
 _RTOL = 1e-10
 _MAX_HALVINGS = 12
-_GAUSS_TABLE = leggauss(_GAUSS_NODES)
+_GAUSS_TABLE = _leggauss(_GAUSS_NODES)
 
 
 class TrajectoryDivergenceError(DynfitError, RuntimeError):
@@ -60,6 +69,9 @@ class GradientModel:
     basis: SplineBasis
     beta: np.ndarray
     _gpoly: tuple = field(repr=False, default=None)
+    # Python floats for scalar calls: (x_lo, x_hi, breakpoints, g's
+    # coefficient rows with the highest degree first)
+    _scalar: tuple = field(repr=False, default=None)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -71,6 +83,10 @@ class GradientModel:
               np.einsum("jkm,k->jm", c1, beta),
               np.einsum("jkm,k->jm", c2, beta))
         object.__setattr__(self, "_gpoly", gp)
+        bas = self.basis
+        object.__setattr__(self, "_scalar", (
+            float(bas.x_lo), float(bas.x_hi), bas.breakpoints.tolist(),
+            gp[0][:, ::-1].tolist()))
 
     @property
     def n_params(self) -> int:
@@ -98,22 +114,30 @@ class GradientModel:
             points.append(np.clip(roots, max(lo, bp[j]), min(hi, bp[j + 1])))
         return float(self.g(np.concatenate(points)).min())
 
-    def _poly_at(self, x: float, which: int) -> float:
-        bas = self.basis
-        x = min(max(x, bas.x_lo), bas.x_hi)
-        j = bisect_right(bas.breakpoints, x) - 1
-        j = min(max(j, 0), len(bas.breakpoints) - 2)
-        u = x - bas.breakpoints[j]
-        c = self._gpoly[which][j]
+    def _poly_at(self, x: float, rows) -> float:
+        """Horner's rule on the knot interval of x, with x clamped to the
+        domain; ``rows`` has one row per interval, highest degree first."""
+        lo, hi, breaks, _ = self._scalar
+        if x < lo:
+            x = lo
+        elif x > hi:
+            x = hi
+        j = bisect_right(breaks, x) - 1
+        last = len(breaks) - 2
+        if j > last:
+            j = last
+        elif j < 0:
+            j = 0
+        u = x - breaks[j]
         acc = 0.0
-        for m in range(len(c) - 1, -1, -1):
-            acc = acc * u + c[m]
+        for c in rows[j]:
+            acc = acc * u + c
         return acc
 
     def g(self, x):
         """Gradient value(s); flat extension outside the domain."""
-        if np.ndim(x) == 0:
-            return self._poly_at(float(x), 0)
+        if isinstance(x, float) or np.ndim(x) == 0:
+            return self._poly_at(float(x), self._scalar[3])
         return self._poly_vec(np.asarray(x, dtype=float), 0)
 
     def g_prime(self, x):
@@ -130,7 +154,7 @@ class GradientModel:
             x = float(x)
             if x < lo or x > hi:
                 return 0.0
-            return self._poly_at(x, which)
+            return self._poly_at(x, self._gpoly[which][:, ::-1])
         x = np.asarray(x, dtype=float)
         vals = self._poly_vec(x, which)
         vals[(x < lo) | (x > hi)] = 0.0
@@ -185,6 +209,17 @@ class TrajectorySolution:
         return float(out[0]) if scalar else out
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique`` gives them for floats
+    (sort, then keep each first copy), without the ``numpy.ma`` import
+    that ``np.unique`` makes on its first call."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _time_grid(t_start: float, t_end: float, h: float,
                extra_times=None) -> np.ndarray:
     n_full = int(np.floor((t_end - t_start) / h + 1e-9))
@@ -195,7 +230,7 @@ def _time_grid(t_start: float, t_end: float, h: float,
         grid[-1] = t_end
     if extra_times is not None and len(extra_times):
         extra = np.asarray(extra_times, dtype=float)
-        grid = np.unique(np.concatenate([grid, extra]))
+        grid = _sorted_unique(np.concatenate([grid, extra]))
         grid = grid[(grid >= t_start) & (grid <= t_end)]
     return grid
 
@@ -224,19 +259,18 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
     f = g(x)
     fs[0] = f
     nonpos = f <= 0.0
-    for i in range(len(grid) - 1):
-        dt = grid[i + 1] - grid[i]
-        k1 = fs[i]
+    for i, dt in enumerate(np.diff(grid).tolist(), start=1):
+        k1 = f
         k2 = g(x + 0.5 * dt * k1)
         k3 = g(x + 0.5 * dt * k2)
         k4 = g(x + dt * k3)
         x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not np.isfinite(x) or abs(x) > overflow_bound:
+        if not math.isfinite(x) or abs(x) > overflow_bound:
             raise TrajectoryDivergenceError(
-                f"state overflow at t={grid[i + 1]:.6g} (|x| > {overflow_bound:g})")
+                f"state overflow at t={grid[i]:.6g} (|x| > {overflow_bound:g})")
         f = g(x)
-        xs[i + 1] = x
-        fs[i + 1] = f
+        xs[i] = x
+        fs[i] = f
         if f <= 0.0:
             nonpos = True
     return TrajectorySolution(t_grid=grid, x_values=xs, f_values=fs,
@@ -296,7 +330,7 @@ def sensitivities_ode(model, traj: TrajectorySolution,
     if t_query.min() < traj.t_start - 1e-12 or t_query.max() > traj.t_end + 1e-12:
         raise ValueError("query time outside the solved window")
     M = model.n_params
-    grid = np.unique(np.concatenate([traj.t_grid, t_query]))
+    grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
     y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0]))
     ys = _rk4(_sensitivity_rhs, model, y0, grid)[grid.searchsorted(t_query)]
     return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
@@ -426,7 +460,7 @@ def _hessian_rhs(model, y):
 
 def _hessian_ode(model, traj, t_query):
     M = model.n_params
-    grid = np.unique(np.concatenate([traj.t_grid, t_query]))
+    grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
     y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0],
                          np.zeros(M * M)))
     ys = _rk4(_hessian_rhs, model, y0, grid)[grid.searchsorted(t_query)]
@@ -464,7 +498,7 @@ def _knot_crossing_times(model, traj) -> np.ndarray:
 
 
 def _hessian_quadrature(model, traj, t_query, n_nodes: int = 24):
-    z, w = leggauss(n_nodes)
+    z, w = _leggauss(n_nodes)
     crossings = _knot_crossing_times(model, traj)
 
     def segments(tq):
@@ -476,7 +510,7 @@ def _hessian_quadrature(model, traj, t_query, n_nodes: int = 24):
         edges = segments(tq)
         for a, b in zip(edges[:-1], edges[1:]):
             all_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * z)
-    nodes = np.unique(np.concatenate(all_nodes))
+    nodes = _sorted_unique(np.concatenate(all_nodes))
     S_at = sensitivities_ode(model, traj, nodes).jacobian
     x_at = traj.state_at(nodes)
 

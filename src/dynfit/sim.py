@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .basis import make_basis
+from .basis import _leggauss, make_basis
 from .errors import DynfitError
 from .estimator import (EstimatorError, FitConfig, _delta_of,
                         conditioning_diagnostic, fit_at_dimension, select_M,
                         support_margin, two_stage_fit)
-from .ode import GradientModel, solve_trajectory
+from .ode import GradientModel, _sorted_unique, solve_trajectory
 from .smooth import Dataset, estimate_endpoints
 
 TRUE_KNOT_INTERVAL = (0.1, 1.1)
@@ -102,9 +101,9 @@ def integrated_squared_error(g_a, g_b, lo: float, hi: float,
     integrands are handled exactly.
     """
     cuts = np.asarray(breakpoints, dtype=float)
-    edges = np.unique(np.concatenate(
+    edges = _sorted_unique(np.concatenate(
         [[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]]))
-    z, w = leggauss(n_nodes)
+    z, w = _leggauss(n_nodes)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

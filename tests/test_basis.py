@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, simpson
 from scipy.interpolate import BSpline
 
-from dynfit.basis import BasisError, gram_matrix, make_basis
+from dynfit.basis import BasisError, _leggauss, gram_matrix, make_basis
 from reference import central_difference, raw_basis_values
 
 
@@ -152,3 +158,26 @@ def test_support_locality():
         lo, hi = basis.knots[k], basis.knots[k + 4]
         outside = (xs < lo) | (xs > hi)
         assert np.all(vals[outside, k] == 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_gauss_legendre_table_matches_numpy_bitwise(n):
+    ours, theirs = _leggauss(n), leggauss(n)
+    assert ours[0].tobytes() == theirs[0].tobytes()
+    assert ours[1].tobytes() == theirs[1].tobytes()
+
+
+def test_dynfit_does_not_import_numpy_polynomial_or_ma():
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import dynfit, dynfit.cli\n"
+        "from dynfit.sim import SimSpec, generate_dataset\n"
+        "spec = SimSpec(rng_seed=0)\n"
+        "dynfit.select_M(generate_dataset(spec, 0),"
+        " dynfit.FitConfig(candidate_Ms=(4,)))\n"
+        "print('numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

@@ -13,7 +13,7 @@ from pathlib import Path
 import dynfit
 import dynfit.sim as sim
 from dynfit.estimator import FitConfig
-from dynfit.sim import SimSpec, run_replicate
+from dynfit.sim import SimSpec, generate_dataset, run_replicate
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -45,3 +45,15 @@ def test_run_replicate_calls_through_the_sim_module(monkeypatch):
                            FitConfig(candidate_Ms=(4,)))
     assert report.chosen_M == 4
     assert len(seen["select_M"]) == len(seen["two_stage_fit"]) == 1
+
+
+def test_trajectory_solver_layer_is_traced():
+    tracer = load_tracer().Tracer(dynfit)
+    tracer.install()
+    try:
+        dynfit.select_M(generate_dataset(SimSpec(rng_seed=0), 0),
+                        FitConfig(candidate_Ms=(4,)))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["ode.solve_trajectory"] > 0
+    assert tracer.counts["ode.solve_trajectory.steps"] > 0

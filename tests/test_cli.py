@@ -64,12 +64,21 @@ def cohort_csv(tmp_path_factory):
     return str(path)
 
 
+def assert_compact_json(path, payload):
+    """One line: sorted keys, no spaces, a final newline."""
+    text = open(path, encoding="utf-8").read()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+
+
 def test_fit_single_subject(single_csv, tmp_path, schema):
     out = tmp_path / "fit"
     assert main(["fit", single_csv, "--out", str(out),
                  "--M-candidates", "4,5"]) == 0
     payload = json.load(open(f"{out}.json"))
     validate(payload, schema)
+    assert_compact_json(f"{out}.json", payload)
     rec = payload["per_subject"][0]
     truth = true_gradient_model()
     errs = [abs(row["g"] - truth.g(row["x"])) for row in rec["g_grid"]]
@@ -185,6 +194,7 @@ def test_simulate_deterministic_outputs(tmp_path, schema):
         (tmp_path / "s2.csv").read_bytes()
     payload = json.load(open(tmp_path / "s1.json"))
     validate(payload, schema)
+    assert_compact_json(tmp_path / "s1.json", payload)
     rows = list(csv.DictReader(open(tmp_path / "s1.csv")))
     assert len(rows) == 2
     assert set(rows[0]) == {"seed", "n", "chosen_M", "ise_onestep",

@@ -9,7 +9,8 @@ from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               constant_coefficients, covariance,
                               fit_at_dimension, lm_fit, loss, presmooth,
                               residuals_and_jacobian, select_M,
-                              support_margin, trim_mask, two_stage_fit)
+                              support_margin, trim_mask, two_stage_fit,
+                              _median)
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.smooth import Dataset, SmoothingError, choose_delta
 from conftest import make_replicate
@@ -254,6 +255,36 @@ def test_two_stage_singular_when_support_uncovered(true_trajectory):
     basis = make_basis(0.2, 3.0, 8, 4)
     with pytest.raises(SingularDesignError):
         two_stage_fit(d, basis, delta)
+
+
+def test_two_stage_near_singular_design_warns_and_adds_ridge():
+    # smoothed states packed into a sliver of the single knot interval:
+    # every column is covered, but the columns are nearly collinear
+    t = np.linspace(0.0, 1.0, 60)
+    level = 0.5 + 1e-3 * t
+    deriv = 1.0 + t
+    basis = make_basis(0.0, 1.0, 4, 4)
+    delta = 0.05
+    with pytest.warns(RuntimeWarning, match="ridge jitter"):
+        beta = two_stage_fit(Dataset(t, level), basis, delta,
+                             presmoothed=(level, deriv))
+    mask = trim_mask(t, delta)
+    design = basis.eval(level[mask])
+    normal = design.T @ design
+    assert np.linalg.cond(normal) > 1e12
+    expected = np.linalg.solve(normal + 1e-10 * np.eye(4),
+                               design.T @ deriv[mask])
+    assert np.array_equal(beta, expected)
+
+
+def test_fallback_median_matches_numpy_bitwise():
+    rng = np.random.default_rng(11)
+    for n in list(range(1, 12)) + [60, 61]:
+        values = rng.normal(1.0, 3.0, n)
+        assert np.float64(_median(values)).tobytes() == \
+            np.float64(np.median(values)).tobytes()
+    values[5] = np.nan
+    assert np.isnan(_median(values))
 
 
 def test_loo_score_formula():

@@ -6,7 +6,8 @@ from dynfit.ode import (GradientModel, TrajectoryDivergenceError,
                         NonpositiveGradientError, hessian_sensitivities,
                         sensitivities_closed_form, sensitivities_ode,
                         solve_trajectory)
-from reference import richardson_rk4_endpoint
+from reference import (NumpyScalarGradient, numpy_scalar_solve_trajectory,
+                       richardson_rk4_endpoint)
 
 
 class ExpModel:
@@ -322,3 +323,70 @@ def test_hessian_matches_finite_differences(true_model):
             fd[r, s] = fd[s, r] = (
                 x_at(bpp) - x_at(bpm) - x_at(bmp) + x_at(bmm)) / (4 * eps ** 2)
     assert np.abs(bundle.hessian[0] - fd).max() < 1e-3
+
+
+def assert_same_solution(model, *args, **kwargs):
+    """The solver gives the bytes of the numpy-scalar reference loop."""
+    ours = solve_trajectory(model, *args, **kwargs)
+    ref = numpy_scalar_solve_trajectory(NumpyScalarGradient(model), *args,
+                                        **kwargs)
+    for name in ("t_grid", "x_values", "f_values"):
+        assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
+    assert ours.nonpositive_encountered == ref.nonpositive_encountered
+    return ours
+
+
+def test_solver_bitwise_on_simulation_truth(true_model):
+    assert_same_solution(true_model, 0.0, 1.0, 0.25, h=1e-4)
+
+
+def test_solver_bitwise_on_growth_model_with_extra_times():
+    basis = make_basis(70.0, 185.0, 7, 4)
+    raw = np.array([24.0, 7.5, 4.5, 3.5, 15.0, 1.2, 0.15]) * 17.0
+    ages = np.concatenate([np.arange(1.0, 2.0, 0.25), np.arange(2.0, 8.0),
+                           np.arange(8.0, 18.01, 0.5)])
+    model = GradientModel(basis, raw / basis.norm_factors)
+    unit = (ages - 1.0) / 17.0
+    # repeated ages (and 0.5, a grid time) must each enter the grid once
+    traj = assert_same_solution(model, 0.02, 0.98, 76.0, h=1e-3,
+                                extra_times=np.concatenate([unit, unit[::3],
+                                                            [0.5]]))
+    assert traj.x_values[-1] > 150.0
+
+
+def test_solver_bitwise_when_gradient_crosses_zero():
+    basis = make_basis(0.0, 1.0, 5, 4)
+    raw = np.array([0.8, 0.8, -1.5, 0.8, 0.8])
+    model = GradientModel(basis, raw / basis.norm_factors)
+    assert assert_same_solution(model, 0.0, 0.5, 0.5,
+                                h=1e-3).nonpositive_encountered
+    assert not assert_same_solution(model, 0.0, 2.0, 0.05,
+                                    h=1e-3).nonpositive_encountered
+
+
+def test_solver_divergence_message_matches_reference():
+    model = constant_model(0.8, lo=0.0, hi=2.0)
+    with pytest.raises(TrajectoryDivergenceError) as ours:
+        solve_trajectory(model, 0.0, 10.0, 0.1, h=1e-2, overflow_bound=5.0)
+    with pytest.raises(TrajectoryDivergenceError) as ref:
+        numpy_scalar_solve_trajectory(NumpyScalarGradient(model), 0.0, 10.0,
+                                      0.1, h=1e-2, overflow_bound=5.0)
+    assert str(ours.value) == str(ref.value)
+
+
+def test_scalar_gradient_matches_vector_path(true_model):
+    for model in (true_model, random_positive_model(
+            np.random.default_rng(8), lo=0.1, hi=1.1)):
+        bas = model.basis
+        # at breakpoints both paths reduce to the constant coefficient
+        points = bas.breakpoints[:-1]
+        assert np.array_equal([model.g(x) for x in points], model.g(points))
+        # outside the domain both continue with the boundary values
+        outside = np.array([bas.x_lo - 1.0, bas.x_lo - 1e-9,
+                            bas.x_hi + 1e-9, bas.x_hi + 3.0])
+        edges = np.array([bas.x_lo, bas.x_lo, bas.x_hi, bas.x_hi])
+        scalar = [model.g(x) for x in outside]
+        assert scalar == [model.g(x) for x in edges]
+        assert np.array_equal(model.g(outside), model.g(edges))
+        np.testing.assert_allclose(scalar, model.g(outside), rtol=1e-14)
+        assert scalar == [NumpyScalarGradient(model).g(x) for x in outside]
