@@ -49,6 +49,28 @@ _MAX_HALVINGS = 12
 _GAUSS_TABLE = _leggauss(_GAUSS_NODES)
 
 
+def _real_roots(coeffs):
+    """Real parts of the roots of sum_m coeffs[m] u^m, as ``np.roots``
+    gives them up to rounding.  Up to degree two (g' of a cubic spline)
+    they come from the quadratic formula: the first ``np.roots`` call
+    pages in LAPACK's general eigenvalue routine, about 0.4 MiB."""
+    c = [float(v) for v in coeffs]
+    while c and c[-1] == 0.0:
+        c.pop()
+    if len(c) > 3:
+        return np.roots(c[::-1]).real
+    if len(c) < 2:
+        return []
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    c0, b, a = c
+    disc = b * b - 4.0 * a * c0
+    if disc < 0.0:
+        return [-b / (2.0 * a)]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c0 / q] if q != 0.0 else [0.0]
+
+
 class TrajectoryDivergenceError(DynfitError, RuntimeError):
     """State exceeded the overflow bound during integration."""
 
@@ -110,7 +132,7 @@ class GradientModel:
         points = [np.array([lo, hi]), bp[(bp > lo) & (bp < hi)]]
         first, last = bas.interval_index(np.array([lo, hi]))
         for j in range(first, last + 1):
-            roots = bp[j] + np.roots(self._gpoly[1][j][::-1]).real
+            roots = bp[j] + np.asarray(_real_roots(self._gpoly[1][j]))
             points.append(np.clip(roots, max(lo, bp[j]), min(hi, bp[j + 1])))
         return float(self.g(np.concatenate(points)).min())
 
@@ -136,6 +158,7 @@ class GradientModel:
 
     def g(self, x):
         """Gradient value(s); flat extension outside the domain."""
+        # the float test first: np.ndim is slow on a Python float
         if isinstance(x, float) or np.ndim(x) == 0:
             return self._poly_at(float(x), self._scalar[3])
         return self._poly_vec(np.asarray(x, dtype=float), 0)

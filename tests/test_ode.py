@@ -3,7 +3,8 @@ import pytest
 
 from dynfit.basis import make_basis
 from dynfit.ode import (GradientModel, TrajectoryDivergenceError,
-                        NonpositiveGradientError, hessian_sensitivities,
+                        NonpositiveGradientError, _real_roots,
+                        hessian_sensitivities,
                         sensitivities_closed_form, sensitivities_ode,
                         solve_trajectory)
 from reference import (NumpyScalarGradient, numpy_scalar_solve_trajectory,
@@ -257,6 +258,23 @@ def test_positivity_is_exact_between_grid_nodes():
     traj = solve_trajectory(flat, 0.0, 1.0, 0.1, h=1e-3)
     with pytest.raises(NonpositiveGradientError):
         sensitivities_closed_form(model, traj, [0.25, 1.0])
+
+
+def test_real_roots_match_numpy_roots():
+    rng = np.random.default_rng(12)
+    # ascending coefficients; a complex pair counts once, by its real part
+    cases = [[0.0, 0.0, 1.0], [0.0, -2.0, 1.0], [1.0, 0.0, 1.0],
+             [3.0, 2.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+             [2.0, -3.0, 1.0, 0.0]]
+    cases += [list(rng.normal(size=k)) + [0.0] for k in (2, 3, 4)
+              for _ in range(50)]
+    for coeffs in cases:
+        ours = np.asarray(_real_roots(coeffs), dtype=float)
+        theirs = np.roots(coeffs[::-1]).real
+        assert len(ours) == 0 if len(theirs) == 0 else len(ours) > 0
+        for a, b in ((ours, theirs), (theirs, ours)):
+            for v in a:
+                assert np.abs(b - v).min() <= 1e-12 * (1.0 + abs(v))
 
 
 def test_hessian_routes_and_symmetry(true_model):
