@@ -235,8 +235,11 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
 
     Solves (J'J + lambda diag(J'J)) step = J'r at each iteration;
     accepted steps shrink lambda, rejected or infeasible ones grow it.
-    Returns (beta_hat, LMReport).  Raises InfeasibleCoefficientsError if
-    the start is infeasible, and NoDescentError as soon as lambda passes
+    Returns (beta_hat, LMReport, residuals, J): the last two are the
+    residual vector and its Jacobian d(residual)/d(beta) at beta_hat, as
+    ``residuals_and_jacobian`` gives them, from the evaluation LM already
+    made there.  Raises InfeasibleCoefficientsError if the start is
+    infeasible, and NoDescentError as soon as lambda passes
     ``lambda_max``, whether or not earlier steps were accepted; the error
     carries the last accepted coefficients and the report.
     """
@@ -300,7 +303,7 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
     report = LMReport(status=status, iterations=it, final_lambda=lam,
                       grad_norm=float(np.abs(grad).max()), loss_value=value,
                       accepted_losses=tuple(accepted))
-    return beta, report
+    return beta, report, resid, J
 
 
 def _delta_of(config: FitConfig, data: Dataset) -> float:
@@ -360,36 +363,24 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
         raise SingularDesignError(f"two-stage normal equations failed: {exc}")
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a 1-d float array: the mean of the middle one or
-    two sorted values, NaN if there is none or any value is NaN.  Sorting
-    directly avoids the ``numpy.ma`` import that ``np.median`` makes on
-    its first call."""
-    values = np.sort(values)
-    if len(values) == 0 or np.isnan(values[-1]):
-        return float("nan")
-    n = len(values)
-    return float(np.mean(values[(n - 1) // 2:n // 2 + 1]))
-
-
 def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
-                          h: float, start_value: float, presmoothed):
+                          h: float, endpoints: tuple, presmoothed):
     """Two-stage initializer with a constant-model fallback.
 
     ``presmoothed`` is the (level, derivative) pair of ``presmooth(data)``.
+    The fallback is the average slope between the estimated endpoints, so
+    its path from x0_hat ends at x1_hat, inside the widened basis domain
+    (``margin_basis`` has already rejected x1_hat <= x0_hat).
     """
+    x0_hat, x1_hat = endpoints
     try:
         beta = two_stage_fit(data, basis, delta, presmoothed=presmoothed)
-        if np.isfinite(loss(beta, data, delta, start_value, basis, h)):
+        if np.isfinite(loss(beta, data, delta, x0_hat, basis, h)):
             return beta
     except SingularDesignError:
         pass
-    mask = trim_mask(data.times, delta)
-    med = _median(presmoothed[1][mask])
-    if med <= 0.0:
-        raise InfeasibleCoefficientsError(
-            "median smoothed derivative is nonpositive; no feasible start")
-    return constant_coefficients(basis, med)
+    return constant_coefficients(basis,
+                                 (x1_hat - x0_hat) / (1.0 - 2.0 * delta))
 
 
 def approximate_loo_score(resid: np.ndarray, J: np.ndarray) -> float:
@@ -451,12 +442,10 @@ def _fit(sample: _Sample, config: FitConfig, M: int,
     x0_hat, x1_hat = sample.endpoints
     delta, data_fit = sample.delta, sample.fit_data
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
-    init = _initial_coefficients(data_fit, basis, delta, config.h, x0_hat,
-                                 sample.presmoothed())
-    beta, report = lm_fit(init, data_fit, replace(config, delta=delta),
-                          x0_hat, basis)
-    resid, J = residuals_and_jacobian(beta, data_fit, delta, x0_hat, basis,
-                                      config.h)
+    init = _initial_coefficients(data_fit, basis, delta, config.h,
+                                 sample.endpoints, sample.presmoothed())
+    beta, report, resid, J = lm_fit(init, data_fit,
+                                    replace(config, delta=delta), x0_hat, basis)
     cv = approximate_loo_score(resid, J)
     cov, sigma2 = _gauss_newton(resid, J)
     return FitResult(model=GradientModel(basis, beta), chosen_M=M,

@@ -20,13 +20,17 @@ states and slopes are the same bit for bit as on numpy scalars
 (``tests/reference.py`` keeps that loop as the reference).
 
 When g > 0 along the path (decided exactly: g is piecewise polynomial)
-they also admit closed-form quadrature expressions.  Both routes are
-required to agree; the quadrature route is the fast path for
-least-squares Jacobians.  It integrates phi/g^2 on one Gauss-Legendre
+both orders also have closed forms in the state variable, from the
+integral curve T(X; beta) = integral of du/g(u) from x_start to X =
+t - t_start: the Jacobian is g(X) times the integral of phi/g^2, and
+the Hessian adds the integral of phi phi^T/g^3.  One engine,
+``_state_integrals``, computes every such integral on one Gauss-Legendre
 node table over the traversed state range (a few points per piece of
 every knot interval, with a piece halved only where its rule has not
 settled), so its cost does not grow with the number of query times
-beyond one short rule each.
+beyond one short rule each.  The closed forms are the fast path; the
+RK4 routes are their independent oracle, and the two are required to
+agree.
 """
 
 from __future__ import annotations
@@ -394,24 +398,20 @@ def _settled_table(integral, edges):
     return np.append(starts[order], edges[-1]), np.concatenate(values)[order]
 
 
-def sensitivities_closed_form(model, traj: TrajectorySolution,
-                              t_query) -> SensitivityBundle:
-    """First-order sensitivities by the explicit quadrature formulas.
+def _state_integrals(model, x0: float, xq: np.ndarray, columns) -> np.ndarray:
+    """Integrals from x0 to each query state of ``columns(phi, g)``.
 
-    The coefficient sensitivities are g(X(t)) times the integral of
-    phi_r(u)/g(u)^2 from the starting state to X(t); the starting-value
-    sensitivity is g(X(t))/g(x_start).  Requires g > 0 on the traversed
-    range.  The integral comes from one Gauss-Legendre node table: every
-    knot interval between the starting state and the largest query state
-    is cut into _SUBINTERVALS equal pieces with _GAUSS_NODES nodes each
-    (halved where the rule has not settled, see _settled_table),
-    cumulative sums of the table give the integral at the piece edges,
-    and one more _GAUSS_NODES-point rule per query covers the stretch
-    from the nearest edge below it to the query state.
+    ``columns`` maps the clamped basis rows and gradient values at a set
+    of states to one row of integrands per state; the result has one row
+    per query state.  Requires g > 0 between x0 and the query states.
+    The integrals come from one Gauss-Legendre node table: every knot
+    interval between x0 and the largest query state is cut into
+    _SUBINTERVALS equal pieces with _GAUSS_NODES nodes each (halved where
+    the rule has not settled, see _settled_table), cumulative sums of the
+    table give the integrals at the piece edges, and one more
+    _GAUSS_NODES-point rule per query covers the stretch from the nearest
+    edge below it to the query state.
     """
-    t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    xq = np.atleast_1d(traj.state_at(t_query))
-    x0 = traj.x_start
     x_lo = min(float(xq.min()), x0)
     x_hi = max(float(xq.max()), x0)
     if model.min_on(x_lo, x_hi) <= 0.0:
@@ -422,10 +422,10 @@ def sensitivities_closed_form(model, traj: TrajectorySolution,
     z, w = _GAUSS_TABLE
 
     def integral(a, b):
-        """Integral of phi/g^2 over each [a_i, b_i], one row per interval."""
+        """Integral of the columns over each [a_i, b_i], one row each."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = (mid[:, None] + half[:, None] * z).ravel()
-        f = bas.eval(np.clip(u, bas.x_lo, bas.x_hi)) / model.g(u)[:, None] ** 2
+        f = columns(bas.eval(np.clip(u, bas.x_lo, bas.x_hi)), model.g(u))
         return half[:, None] * np.einsum("k,ikm->im", w,
                                          f.reshape(len(a), len(z), -1))
 
@@ -434,34 +434,72 @@ def sensitivities_closed_form(model, traj: TrajectorySolution,
     pieces = np.arange(_SUBINTERVALS) / _SUBINTERVALS
     edges, table = _settled_table(integral, np.append(
         cuts[:-1, None] + np.diff(cuts)[:, None] * pieces, x_hi))
-    prefix = np.vstack([np.zeros(model.n_params), np.cumsum(table, axis=0)])
+    prefix = np.vstack([np.zeros(table.shape[1]), np.cumsum(table, axis=0)])
     k = np.clip(np.searchsorted(edges, xq, side="right") - 1,
                 0, len(edges) - 2)
+    return prefix[k] + integral(edges[k], xq)
+
+
+def sensitivities_closed_form(model, traj: TrajectorySolution,
+                              t_query) -> SensitivityBundle:
+    """First-order sensitivities by the explicit quadrature formulas.
+
+    The coefficient sensitivities are g(X(t)) times the integral of
+    phi_r(u)/g(u)^2 from the starting state to X(t) (``_state_integrals``);
+    the starting-value sensitivity is g(X(t))/g(x_start).  Requires g > 0
+    on the traversed range.
+    """
+    t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
+    xq = np.atleast_1d(traj.state_at(t_query))
+    x0 = traj.x_start
+    I = _state_integrals(model, x0, xq, lambda phi, g: phi / g[:, None] ** 2)
     g_q = np.atleast_1d(model.g(xq))
-    jac = g_q[:, None] * (prefix[k] + integral(edges[k], xq))
-    init = g_q / model.g(x0)
-    return SensitivityBundle(t_query=t_query, jacobian=jac,
-                             initial_sensitivity=init)
+    return SensitivityBundle(t_query=t_query, jacobian=g_q[:, None] * I,
+                             initial_sensitivity=g_q / model.g(x0))
 
 
-def hessian_sensitivities(model, traj: TrajectorySolution,
-                          first: SensitivityBundle, t_query,
+def _second_order_columns(phi, g):
+    """phi/g^2 and the flattened outer products phi phi^T/g^3."""
+    outer = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), -1)
+    return np.hstack([phi / g[:, None] ** 2, outer / g[:, None] ** 3])
+
+
+def hessian_sensitivities(model, traj: TrajectorySolution, t_query,
                           method: str = "ode") -> SensitivityBundle:
-    """Second-order sensitivities, by augmented RK4 or by quadrature.
+    """Second-order sensitivities, by augmented RK4 or in closed form.
 
-    ``method="ode"`` integrates the linear matrix ODE with zero initial
-    conditions; ``method="quadrature"`` evaluates the explicit
-    time-integral form (Gauss-Legendre per query, with the first-order
-    sensitivities supplied along the path).  Both give a symmetric
+    ``method="quadrature"`` differentiates the integral curve
+    T(X; beta) = integral of du/g from x_start to X = t - t_start twice:
+
+        d2X/dbeta_r dbeta_s = g'(X) g(X) I_r I_s + phi_r(X) I_s
+                              + phi_s(X) I_r - 2 g(X) K_rs,
+
+    with I = integral of phi/g^2 and K = integral of phi phi^T/g^3 from
+    x_start to X, both from the node table of ``_state_integrals``, so it
+    needs g > 0 on the traversed range.  ``method="ode"`` integrates the
+    linear matrix ODE of the second-order sensitivities with zero initial
+    conditions alongside the state by RK4 on the trajectory grid; it is
+    the independent oracle for the closed form.  Both give a symmetric
     (n_query, M, M) array; they are used for curvature diagnostics, not
     on the optimizer hot path.
     """
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
     if method == "ode":
         return _hessian_ode(model, traj, t_query)
-    if method == "quadrature":
-        return _hessian_quadrature(model, traj, t_query)
-    raise ValueError(f"unknown method {method!r}")
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    M = model.n_params
+    xq = np.atleast_1d(traj.state_at(t_query))
+    both = _state_integrals(model, traj.x_start, xq, _second_order_columns)
+    I, K = both[:, :M], both[:, M:].reshape(-1, M, M)
+    g_q = np.atleast_1d(model.g(xq))
+    cross = I[:, :, None] * model.basis_row(xq)[:, None, :]
+    # half of the formula, so that H + H^T is symmetric to the last bit
+    H = ((0.5 * model.g_prime(xq) * g_q)[:, None, None] * I[:, :, None]
+         * I[:, None, :] + cross - g_q[:, None, None] * K)
+    return SensitivityBundle(t_query=t_query, jacobian=g_q[:, None] * I,
+                             initial_sensitivity=g_q / model.g(traj.x_start),
+                             hessian=H + H.transpose(0, 2, 1))
 
 
 def _basis_prime_row(model, x):
@@ -491,71 +529,3 @@ def _hessian_ode(model, traj, t_query):
     return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
                              initial_sensitivity=ys[:, M + 1],
                              hessian=0.5 * (H + H.transpose(0, 2, 1)))
-
-
-def _knot_crossing_times(model, traj) -> np.ndarray:
-    """Times at which the (monotone) trajectory crosses a basis knot.
-
-    The integrands of the quadrature route lose smoothness there, so
-    time integrals are split at these points.  Bisection on the dense
-    output; assumes x_values increasing.
-    """
-    xs = traj.x_values
-    if xs[-1] <= xs[0]:
-        return np.empty(0)
-    cuts = model.basis.breakpoints
-    cuts = cuts[(cuts > xs[0]) & (cuts < xs[-1])]
-    times = []
-    for b in cuts:
-        lo, hi = traj.t_start, traj.t_end
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if traj.state_at(mid) < b:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        times.append(0.5 * (lo + hi))
-    return np.asarray(times)
-
-
-def _hessian_quadrature(model, traj, t_query, n_nodes: int = 24):
-    z, w = _leggauss(n_nodes)
-    crossings = _knot_crossing_times(model, traj)
-
-    def segments(tq):
-        inner = crossings[(crossings > traj.t_start) & (crossings < tq)]
-        return np.concatenate([[traj.t_start], inner, [tq]])
-
-    all_nodes = [t_query]
-    for tq in t_query:
-        edges = segments(tq)
-        for a, b in zip(edges[:-1], edges[1:]):
-            all_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * z)
-    nodes = _sorted_unique(np.concatenate(all_nodes))
-    S_at = sensitivities_ode(model, traj, nodes).jacobian
-    x_at = traj.state_at(nodes)
-
-    def integrand(s):
-        # every s is one of the nodes, computed by the same expression
-        i = np.searchsorted(nodes, s)
-        xs, Ss = x_at[i], S_at[i]
-        cross = np.outer(Ss, _basis_prime_row(model, xs))
-        return (cross + cross.T
-                + model.g_second(xs) * np.outer(Ss, Ss)) / model.g(xs)
-
-    hess = []
-    for tq in t_query:
-        acc = np.zeros((model.n_params, model.n_params))
-        edges = segments(tq)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for zi, wi in zip(z, w):
-                acc += half * wi * integrand(mid + half * zi)
-        g_t = model.g(traj.state_at(tq))
-        hess.append(g_t * 0.5 * (acc + acc.T))
-    rows = np.searchsorted(nodes, t_query)
-    init = model.g(x_at[rows]) / model.g(traj.x_start)
-    return SensitivityBundle(t_query=t_query, jacobian=S_at[rows],
-                             initial_sensitivity=init, hessian=np.stack(hess))

@@ -5,8 +5,9 @@ function drives a monotone trajectory from x(0) = 0.25; each replicate
 draws a sample size from {60, ..., 100}, uniform observation times, and
 Gaussian noise with sd 0.01, then fits both the integral-curve
 estimator (with data-driven dimension selection) and the two-stage
-regression estimator on the same data and basis.  The rate and
-conditioning sweeps fit at a forced dimension with ``fit_at_dimension``.
+regression estimator on the same data and basis.  The rate sweep fits
+at a forced dimension with ``fit_at_dimension``; the conditioning sweep
+runs the same fit body at every dimension on one prepared sample.
 
 Streams are counter-based (Philox keyed by (seed, replicate index)), so
 replicates are independent and insensitive to execution order.
@@ -20,11 +21,11 @@ import numpy as np
 
 from .basis import _leggauss, make_basis
 from .errors import DynfitError
-from .estimator import (EstimatorError, FitConfig, _delta_of,
+from .estimator import (EstimatorError, FitConfig, _delta_of, _fit, _Sample,
                         conditioning_diagnostic, fit_at_dimension, select_M,
                         support_margin, two_stage_fit)
 from .ode import GradientModel, _sorted_unique, solve_trajectory
-from .smooth import Dataset, estimate_endpoints
+from .smooth import Dataset
 
 TRUE_KNOT_INTERVAL = (0.1, 1.1)
 TRUE_RAW_COEFFICIENTS = (0.1, 1.2, 1.6, 0.4)
@@ -203,16 +204,16 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
     Fits noiseless dense data at each dimension on a common basis
     interval (margin taken from the largest dimension) so that only the
     number of basis functions varies, then reports lambda_min of
-    (1/n) J'J per dimension and the shrink factor per doubling.
+    (1/n) J'J per dimension and the shrink factor per doubling.  The
+    endpoints and the presmoothing are computed once for all dimensions.
     """
     config = config if config is not None else FitConfig()
     data = generate_dataset(replace(spec, sigma=0.0, n_range=(n, n)), 0)
-    x0h, x1h = estimate_endpoints(data, _delta_of(config, data))
-    ref = make_basis(x0h, x1h, max(dims), config.order)
+    sample = _Sample(data, config)
+    ref = make_basis(*sample.endpoints, max(dims), config.order)
     margin = support_margin(max(dims), n, ref.smallest_support)
-    lam = {M: conditioning_diagnostic(
-               fit_at_dimension(data, config, M, margin=margin),
-               data.odd_half(), config.h)["lambda_min"]
+    lam = {M: conditioning_diagnostic(_fit(sample, config, M, margin),
+                                      sample.fit_data, config.h)["lambda_min"]
            for M in sorted(dims)}
     factors = {f"{a}->{2 * a}": lam[a] / lam[2 * a]
                for a in lam if 2 * a in lam}

@@ -73,9 +73,8 @@ def test_criterion_2_sensitivity_exactness(true_model):
                  np.abs(b_cf.jacobian - fd).max()) / np.abs(fd).max()
     assert gap_fd < 1e-4
 
-    first = b_ode
-    h_ode = hessian_sensitivities(true_model, traj, first, tq, method="ode")
-    h_quad = hessian_sensitivities(true_model, traj, first, tq,
+    h_ode = hessian_sensitivities(true_model, traj, tq, method="ode")
+    h_quad = hessian_sensitivities(true_model, traj, tq,
                                    method="quadrature")
     gap_h = np.abs(h_ode.hessian - h_quad.hessian).max() \
         / np.abs(h_ode.hessian).max()
@@ -162,8 +161,8 @@ def test_criterion_6_invariant_suites(true_model, true_trajectory):
     # LM monotone descent and stationarity
     from dynfit.estimator import constant_coefficients
     cfg = FitConfig(delta=delta)
-    beta_hat, report = lm_fit(constant_coefficients(basis, 0.8), d, cfg, x0,
-                              basis)
+    beta_hat, report, _, _ = lm_fit(constant_coefficients(basis, 0.8), d,
+                                    cfg, x0, basis)
     assert np.all(np.diff(report.accepted_losses) < 0)
     assert report.status == "converged"
     r2, J2 = residuals_and_jacobian(beta_hat, d, delta, x0, basis)
@@ -191,7 +190,8 @@ def test_criterion_6_invariant_suites(true_model, true_trajectory):
     grid = np.linspace(0.2, 2.5, 300)
     i = int(np.argmin([f(b) for b in grid]))
     brute = golden_section(f, grid[i - 1], grid[i + 1])
-    bhat, _ = lm_fit(np.array([1.0]), dd, FitConfig(delta=0.08), 0.3, cbasis)
+    bhat, _, _, _ = lm_fit(np.array([1.0]), dd, FitConfig(delta=0.08), 0.3,
+                           cbasis)
     assert abs(bhat[0] - brute) < 1e-6
 
     # determinism byte-equality

@@ -7,7 +7,7 @@ from jsonschema import validate
 
 from dynfit.basis import make_basis
 from dynfit.cli import _read_long_csv, _rescale_times, main
-from dynfit.estimator import FitConfig, select_M
+from dynfit.estimator import FitConfig, fit_at_dimension, select_M
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.sim import SimSpec, generate_dataset, true_gradient_model
 from dynfit.smooth import Dataset
@@ -237,6 +237,16 @@ def test_rates_small_run(tmp_path, schema):
     validate(payload, schema)
     assert len(payload["per_n"]) == 4
     assert np.isfinite(payload["slope"])
+
+
+def test_constant_fallback_start_fits_cohort_subject(cohort_csv):
+    # girl45's two-stage start at M = 6 is infeasible, so LM starts from
+    # the constant fallback: the average slope between the endpoints,
+    # whose path ends at x1_hat, inside the widened basis domain
+    t, y = (np.asarray(v) for v in _read_long_csv(cohort_csv)["girl45"])
+    fit = fit_at_dimension(Dataset(_rescale_times(t)[0], y), FitConfig(), 6)
+    assert fit.convergence.status == "converged"
+    assert fit.model.min_on(*fit.endpoints) > 0.0
 
 
 @pytest.mark.slow

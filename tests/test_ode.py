@@ -7,6 +7,7 @@ from dynfit.ode import (GradientModel, TrajectoryDivergenceError,
                         hessian_sensitivities,
                         sensitivities_closed_form, sensitivities_ode,
                         solve_trajectory)
+from dynfit.sim import true_gradient_model
 from reference import (NumpyScalarGradient, numpy_scalar_solve_trajectory,
                        richardson_rk4_endpoint)
 
@@ -189,8 +190,8 @@ def test_route_equivalence_on_random_positive_models():
         b2 = sensitivities_closed_form(model, traj, tq)
         scale = max(np.abs(b2.jacobian).max(), 1e-12)
         assert np.abs(b1.jacobian - b2.jacobian).max() / scale < 1e-6
-        h1 = hessian_sensitivities(model, traj, b1, tq[-1:], method="ode")
-        h2 = hessian_sensitivities(model, traj, b1, tq[-1:],
+        h1 = hessian_sensitivities(model, traj, tq[-1:], method="ode")
+        h2 = hessian_sensitivities(model, traj, tq[-1:],
                                    method="quadrature")
         hscale = max(np.abs(h1.hessian).max(), 1e-12)
         assert np.abs(h1.hessian - h2.hessian).max() / hscale < 1e-5
@@ -213,13 +214,17 @@ def test_routes_agree_on_growth_model():
                                b_ode.initial_sensitivity, rtol=1e-8)
 
 
-def test_routes_agree_next_to_a_root():
-    # g has a root at x ~ 170.41 and the path ends ~7e-3 short of it
-    # (g there is 4e-4 of its largest value), so 1/g^2 has a near-pole
-    # in the last piece of the closed form's node table
+def near_root_model():
+    """Growth-style g with a root at x ~ 170.41: a path from 75 over unit
+    time ends ~7e-3 short of it, where g is 4e-4 of its largest value,
+    so 1/g^2 has a near-pole in the last piece of the node table."""
     basis = make_basis(70.0, 185.0, 7, 4)
     raw = np.array([24.0, 7.5, 4.5, 3.5, 15.0, 1.2, -40.0]) * 18.7
-    model = GradientModel(basis, raw / basis.norm_factors)
+    return GradientModel(basis, raw / basis.norm_factors)
+
+
+def test_routes_agree_next_to_a_root():
+    model = near_root_model()
     traj = solve_trajectory(model, 0.0, 1.0, 75.0, h=5e-4)
     x_end = traj.x_values[-1]
     assert 0 < model.g(x_end) < 1e-3 * model.g(np.linspace(70, x_end, 999)).max()
@@ -229,6 +234,40 @@ def test_routes_agree_next_to_a_root():
     scale = np.abs(b_ode.jacobian).max(axis=0)
     assert (np.abs(b_cf.jacobian - b_ode.jacobian).max(axis=0)
             <= 1e-8 * scale).all()
+
+
+def _truth_case():
+    return [(true_gradient_model(), 1.0, 0.25, np.array([0.25, 0.5, 0.75]))]
+
+
+def _random_cases():
+    rng = np.random.default_rng(123)  # the models of the route test above
+    cases = []
+    for _ in range(20):
+        model = random_positive_model(rng)
+        x0 = rng.uniform(0.05, 0.3)
+        cases.append((model, 0.6, x0, np.sort(rng.uniform(0.0, 0.6, 4))))
+    return cases
+
+
+def _near_root_case():
+    return [(near_root_model(), 1.0, 75.0, np.linspace(0.0, 1.0, 41))]
+
+
+@pytest.mark.parametrize("cases", [
+    _truth_case, _near_root_case,
+    pytest.param(_random_cases, marks=pytest.mark.slow)])
+def test_closed_form_hessian_matches_fine_ode_route(cases):
+    # on an h = 1e-4 trajectory the RK4 route's own error is far below
+    # the bound, so this checks the closed form itself
+    for model, t_end, x0, tq in cases():
+        traj = solve_trajectory(model, 0.0, t_end, x0, h=1e-4)
+        ode = hessian_sensitivities(model, traj, tq, method="ode")
+        quad = hessian_sensitivities(model, traj, tq, method="quadrature")
+        scale = np.abs(ode.hessian).max()
+        assert np.abs(quad.hessian - ode.hessian).max() / scale < 1e-7
+        np.testing.assert_array_equal(
+            quad.hessian, np.transpose(quad.hessian, (0, 2, 1)))
 
 
 def test_closed_form_requires_positive_gradient():
@@ -280,9 +319,8 @@ def test_real_roots_match_numpy_roots():
 def test_hessian_routes_and_symmetry(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.3, 0.6])
-    first = sensitivities_ode(true_model, traj, tq)
-    h_ode = hessian_sensitivities(true_model, traj, first, tq, method="ode")
-    h_quad = hessian_sensitivities(true_model, traj, first, tq,
+    h_ode = hessian_sensitivities(true_model, traj, tq, method="ode")
+    h_quad = hessian_sensitivities(true_model, traj, tq,
                                    method="quadrature")
     scale = np.abs(h_ode.hessian).max()
     assert np.abs(h_ode.hessian - h_quad.hessian).max() / scale < 1e-5
@@ -294,8 +332,7 @@ def test_hessian_routes_and_symmetry(true_model):
 def test_hessian_zero_at_start_and_constant_model():
     model = constant_model(0.6, lo=0.0, hi=2.0)
     traj = solve_trajectory(model, 0.1, 0.9, 0.2, h=1e-3)
-    first = sensitivities_ode(model, traj, [0.1, 0.7])
-    bundle = hessian_sensitivities(model, traj, first, [0.1, 0.7])
+    bundle = hessian_sensitivities(model, traj, [0.1, 0.7])
     np.testing.assert_allclose(bundle.hessian[0], 0.0, atol=1e-15)
     # constant raw coefficients: g' = 0 and phi' rows vanish in the
     # interior only for the *sum*; the full Hessian is still tiny next
@@ -312,16 +349,14 @@ def test_hessian_exactly_zero_for_scalar_constant_model():
     basis = constant_basis(0.0, 3.0)
     model = GradientModel(basis, np.array([1.1]))
     traj = solve_trajectory(model, 0.1, 0.9, 0.2, h=1e-3)
-    first = sensitivities_ode(model, traj, [0.5, 0.9])
-    bundle = hessian_sensitivities(model, traj, first, [0.5, 0.9])
+    bundle = hessian_sensitivities(model, traj, [0.5, 0.9])
     np.testing.assert_array_equal(bundle.hessian, 0.0)
 
 
 def test_hessian_matches_finite_differences(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.5])
-    first = sensitivities_ode(true_model, traj, tq)
-    bundle = hessian_sensitivities(true_model, traj, first, tq)
+    bundle = hessian_sensitivities(true_model, traj, tq)
     eps = 1e-4
     M = true_model.n_params
     fd = np.empty((M, M))

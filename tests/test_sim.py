@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynfit.basis import make_basis
-from dynfit.estimator import FitConfig, two_stage_fit
+from dynfit import estimator, sim
+from dynfit.estimator import (FitConfig, conditioning_diagnostic,
+                              fit_at_dimension, two_stage_fit)
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.sim import (SimSpec, conditioning_sweep, generate_dataset,
                         integrated_squared_error, rate_sweep, run_replicate,
@@ -159,3 +162,27 @@ def test_conditioning_sweep_smoke():
     assert set(out["lambda_min"]) == {4, 8}
     assert out["lambda_min"][4] > out["lambda_min"][8] > 0
     assert "4->8" in out["shrink_factors"]
+
+
+def test_conditioning_sweep_prepares_the_sample_once(monkeypatch):
+    counts = {"estimate_endpoints": 0, "presmooth": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(estimator, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        for module in (estimator, sim):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    spec = SimSpec(rng_seed=8)
+    out = conditioning_sweep(spec, dims=(4, 8), n=1200)
+    assert counts == {"estimate_endpoints": 1, "presmooth": 1}
+    monkeypatch.undo()
+    # the same numbers as a separate fit and diagnostic per dimension
+    data = generate_dataset(replace(spec, sigma=0.0, n_range=(1200, 1200)), 0)
+    config = FitConfig()
+    for M, lam in out["lambda_min"].items():
+        fit = fit_at_dimension(data, config, M, margin=out["margin"])
+        ref = conditioning_diagnostic(fit, data.odd_half(), config.h)
+        assert np.float64(lam).tobytes() == \
+            np.float64(ref["lambda_min"]).tobytes()
