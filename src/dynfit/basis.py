@@ -151,7 +151,8 @@ class SplineBasis:
     knots: np.ndarray
     norm_factors: np.ndarray
     breakpoints: np.ndarray = field(repr=False)
-    _tables: tuple = field(repr=False)  # normalized coeffs, deriv 0/1/2
+    # normalized coefficients of derivatives 0 and 1; 2 is added on first use
+    _tables: tuple = field(repr=False)
 
     @property
     def knot_spacing(self) -> float:
@@ -164,6 +165,12 @@ class SplineBasis:
         return float(min(self.knots[i + k] - self.knots[i]
                          for i in range(self.n_basis)))
 
+    def _table(self, deriv: int) -> np.ndarray:
+        if deriv == len(self._tables):
+            object.__setattr__(self, "_tables", self._tables
+                               + (_differentiate(self._tables[-1]),))
+        return self._tables[deriv]
+
     def interval_index(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, len(self.breakpoints) - 2)
@@ -175,7 +182,7 @@ class SplineBasis:
         """
         if deriv not in (0, 1, 2):
             raise ValueError("deriv must be 0, 1 or 2")
-        table = self._tables[deriv]
+        table = self._table(deriv)
         if np.isscalar(x) or np.ndim(x) == 0:
             x = float(x)
             if x < self.x_lo or x > self.x_hi:
@@ -235,12 +242,10 @@ def make_basis(x_lo: float, x_hi: float, n_basis: int,
     norm_factors = 1.0 / np.sqrt(sq)
 
     c0 = raw * norm_factors[None, :, None]
-    c1 = _differentiate(c0)
-    c2 = _differentiate(c1)
     return SplineBasis(order=order, n_basis=n_basis, x_lo=float(x_lo),
                        x_hi=float(x_hi), knots=knots,
                        norm_factors=norm_factors, breakpoints=breakpoints,
-                       _tables=(c0, c1, c2))
+                       _tables=(c0, _differentiate(c0)))
 
 
 def gram_matrix(basis: SplineBasis) -> np.ndarray:

@@ -229,12 +229,25 @@ def residuals_and_jacobian(beta, data: Dataset, delta: float,
                             data.times[trim_mask(data.times, delta)])
 
 
+class _Start:
+    """Start coefficients the caller has already evaluated: ``lm_fit``
+    takes one in place of ``init_beta`` and uses ``evaluation``, the four
+    values ``_evaluate`` gave at ``beta``, instead of solving them again."""
+
+    __slots__ = ("beta", "evaluation")
+
+    def __init__(self, beta, evaluation):
+        self.beta, self.evaluation = beta, evaluation
+
+
 def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
            basis: SplineBasis):
     """Levenberg-Marquardt minimization of the trimmed loss.
 
     Solves (J'J + lambda diag(J'J)) step = J'r at each iteration;
     accepted steps shrink lambda, rejected or infeasible ones grow it.
+    ``init_beta`` may also be a ``_Start``, evaluated with the step size
+    and trimming level that LM uses.
     Returns (beta_hat, LMReport, residuals, J): the last two are the
     residual vector and its Jacobian d(residual)/d(beta) at beta_hat, as
     ``residuals_and_jacobian`` gives them, from the evaluation LM already
@@ -245,9 +258,13 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
     """
     lm = config.lm
     delta = _delta_of(config, data)
-    beta = np.asarray(init_beta, dtype=float).copy()
-    value, resid, traj, model = _evaluate(beta, data, delta, start_value,
-                                          basis, config.h)
+    if isinstance(init_beta, _Start):
+        beta = init_beta.beta.copy()
+        value, resid, traj, model = init_beta.evaluation
+    else:
+        beta = np.asarray(init_beta, dtype=float).copy()
+        value, resid, traj, model = _evaluate(
+            beta, data, delta, start_value, basis, config.h)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError("initial coefficients are infeasible")
     t_in = data.times[trim_mask(data.times, delta)]
@@ -322,12 +339,12 @@ def presmooth(data: Dataset):
     with a Gaussian kernel and its own bandwidth, cross-validated over 20
     log-spaced values up to 0.5.  Their floor is 0.02 for ordinary sample
     sizes and shrinks like 10/n on dense samples, where the wider floor
-    would leave irreducible smoothing bias.
+    would leave irreducible smoothing bias.  One ``cv_bandwidth`` call
+    scores both degrees over the whole grid.
     """
     grid = np.geomspace(min(0.02, 10.0 / max(data.n, 20)), 0.5, 20)
-    bw_level = cv_bandwidth(data, 1, "gaussian", grid)
+    bw_level, bw_deriv = cv_bandwidth(data, (1, 2), "gaussian", grid)
     level, _ = local_poly(data, 1, bw_level, "gaussian", data.times)
-    bw_deriv = cv_bandwidth(data, 2, "gaussian", grid)
     _, deriv = local_poly(data, 2, bw_deriv, "gaussian", data.times)
     return level, deriv
 
@@ -368,15 +385,18 @@ def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
     """Two-stage initializer with a constant-model fallback.
 
     ``presmoothed`` is the (level, derivative) pair of ``presmooth(data)``.
-    The fallback is the average slope between the estimated endpoints, so
-    its path from x0_hat ends at x1_hat, inside the widened basis domain
-    (``margin_basis`` has already rejected x1_hat <= x0_hat).
+    A two-stage start with a finite loss comes back as a ``_Start``
+    holding its evaluation, for ``lm_fit``; the fallback comes back as
+    coefficients.  It is the average slope between the estimated
+    endpoints, so its path from x0_hat ends at x1_hat, inside the widened
+    basis domain (``margin_basis`` has already rejected x1_hat <= x0_hat).
     """
     x0_hat, x1_hat = endpoints
     try:
         beta = two_stage_fit(data, basis, delta, presmoothed=presmoothed)
-        if np.isfinite(loss(beta, data, delta, x0_hat, basis, h)):
-            return beta
+        evaluation = _evaluate(beta, data, delta, x0_hat, basis, h)
+        if np.isfinite(evaluation[0]):
+            return _Start(beta, evaluation)
     except SingularDesignError:
         pass
     return constant_coefficients(basis,
@@ -437,8 +457,9 @@ class _Sample:
         return self._smoothed
 
 
-def _fit(sample: _Sample, config: FitConfig, M: int,
-         margin: float | None) -> FitResult:
+def _fit(sample: _Sample, config: FitConfig, M: int, margin: float | None):
+    """(FitResult, J): the fit at dimension M and the residual Jacobian at
+    its coefficients, which is not kept on the result."""
     x0_hat, x1_hat = sample.endpoints
     delta, data_fit = sample.delta, sample.fit_data
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
@@ -452,7 +473,7 @@ def _fit(sample: _Sample, config: FitConfig, M: int,
                      loss_value=report.loss_value, cv_score=cv,
                      covariance=cov, sigma2_hat=sigma2,
                      endpoints=(x0_hat, x1_hat), delta=delta,
-                     convergence=report, n_eff=len(resid))
+                     convergence=report, n_eff=len(resid)), J
 
 
 def fit_at_dimension(data: Dataset, config: FitConfig, M: int,
@@ -460,7 +481,7 @@ def fit_at_dimension(data: Dataset, config: FitConfig, M: int,
     """The whole fit at basis dimension M, with its LOO score and
     covariance; ``margin`` defaults to ``support_margin``.  The
     ``candidate_Ms`` of ``config`` are not read."""
-    return _fit(_Sample(data, config), config, M, margin)
+    return _fit(_Sample(data, config), config, M, margin)[0]
 
 
 def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
@@ -476,7 +497,7 @@ def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     failures: dict[int, str] = {}
     for M in sorted(set(config.candidate_Ms)):
         try:
-            fits[M] = _fit(sample, config, M, None)
+            fits[M], _ = _fit(sample, config, M, None)
         except DynfitError as exc:
             failures[M] = f"{type(exc).__name__}: {exc}"
     if not fits:
@@ -508,6 +529,9 @@ def conditioning_diagnostic(fit: FitResult, data: Dataset,
     """
     _, J = residuals_and_jacobian(fit.model.beta, data, fit.delta,
                                   fit.endpoints[0], fit.model.basis, h)
-    gram = (J.T @ J) / len(J)
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    return {"lambda_min": lam_min, "M": fit.chosen_M}
+    return {"lambda_min": _lambda_min(J), "M": fit.chosen_M}
+
+
+def _lambda_min(J: np.ndarray) -> float:
+    """Smallest eigenvalue of (1/n) J'J."""
+    return float(np.linalg.eigvalsh((J.T @ J) / len(J))[0])

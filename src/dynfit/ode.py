@@ -94,6 +94,8 @@ class GradientModel:
 
     basis: SplineBasis
     beta: np.ndarray
+    # coefficient tables of g and g' per knot interval; g'' is added on
+    # first use
     _gpoly: tuple = field(repr=False, default=None)
     # Python floats for scalar calls: (x_lo, x_hi, breakpoints, g's
     # coefficient rows with the highest degree first)
@@ -104,10 +106,8 @@ class GradientModel:
         if beta.shape != (self.basis.n_basis,):
             raise ValueError("coefficient vector does not match the basis")
         object.__setattr__(self, "beta", beta)
-        c0, c1, c2 = self.basis._tables
-        gp = (np.einsum("jkm,k->jm", c0, beta),
-              np.einsum("jkm,k->jm", c1, beta),
-              np.einsum("jkm,k->jm", c2, beta))
+        gp = tuple(np.einsum("jkm,k->jm", self.basis._table(d), beta)
+                   for d in (0, 1))
         object.__setattr__(self, "_gpoly", gp)
         bas = self.basis
         object.__setattr__(self, "_scalar", (
@@ -181,7 +181,7 @@ class GradientModel:
             x = float(x)
             if x < lo or x > hi:
                 return 0.0
-            return self._poly_at(x, self._gpoly[which][:, ::-1])
+            return self._poly_at(x, self._coeffs(which)[:, ::-1])
         x = np.asarray(x, dtype=float)
         vals = self._poly_vec(x, which)
         vals[(x < lo) | (x > hi)] = 0.0
@@ -192,7 +192,13 @@ class GradientModel:
         j = self.basis.interval_index(xc)
         powers = (xc - self.basis.breakpoints[j])[:, None] \
             ** np.arange(self.basis.order)
-        return np.einsum("jm,jm->j", self._gpoly[which][j], powers)
+        return np.einsum("jm,jm->j", self._coeffs(which)[j], powers)
+
+    def _coeffs(self, which: int) -> np.ndarray:
+        if which == len(self._gpoly):
+            object.__setattr__(self, "_gpoly", self._gpoly + (np.einsum(
+                "jkm,k->jm", self.basis._table(which), self.beta),))
+        return self._gpoly[which]
 
     def basis_row(self, x):
         """Basis values clamped to the boundary outside the domain.

@@ -21,8 +21,8 @@ import numpy as np
 
 from .basis import _leggauss, make_basis
 from .errors import DynfitError
-from .estimator import (EstimatorError, FitConfig, _delta_of, _fit, _Sample,
-                        conditioning_diagnostic, fit_at_dimension, select_M,
+from .estimator import (EstimatorError, FitConfig, _delta_of, _fit,
+                        _lambda_min, _Sample, fit_at_dimension, select_M,
                         support_margin, two_stage_fit)
 from .ode import GradientModel, _sorted_unique, solve_trajectory
 from .smooth import Dataset
@@ -205,15 +205,16 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
     interval (margin taken from the largest dimension) so that only the
     number of basis functions varies, then reports lambda_min of
     (1/n) J'J per dimension and the shrink factor per doubling.  The
-    endpoints and the presmoothing are computed once for all dimensions.
+    endpoints and the presmoothing are computed once for all dimensions,
+    and J is the one each fit ends with, as ``conditioning_diagnostic``
+    would recompute it.
     """
     config = config if config is not None else FitConfig()
     data = generate_dataset(replace(spec, sigma=0.0, n_range=(n, n)), 0)
     sample = _Sample(data, config)
     ref = make_basis(*sample.endpoints, max(dims), config.order)
     margin = support_margin(max(dims), n, ref.smallest_support)
-    lam = {M: conditioning_diagnostic(_fit(sample, config, M, margin),
-                                      sample.fit_data, config.h)["lambda_min"]
+    lam = {M: _lambda_min(_fit(sample, config, M, margin)[1])
            for M in sorted(dims)}
     factors = {f"{a}->{2 * a}": lam[a] / lam[2 * a]
                for a in lam if 2 * a in lam}

@@ -13,7 +13,12 @@ Each local fit is solved from weighted moments of the scaled time
 offsets: the normal matrix is the Hankel matrix of sum w z^k and the
 right-hand side holds sum w z^m y.  The moments are accumulated over
 blocks of queries, so the work is O(queries * n * degree) and the
-memory O(block * n), with no per-query design matrix.
+memory O(block * n), with no per-query design matrix.  Bandwidth
+cross-validation takes the moments of every grid value and every
+degree it scores from one pass over the query blocks: the offsets are
+formed once per block, and a degree's moments are the first terms of
+the highest degree's running product, so each score is bit for bit the
+one a separate pass at that bandwidth and degree would give.
 """
 
 from __future__ import annotations
@@ -83,46 +88,69 @@ class Dataset:
         return self.subset(np.arange(1, self.n, 2))
 
 
-_BLOCK = 128  # queries per block of the moment sums in _local_systems
+_BLOCK = 128  # queries per block of the moment sums in _local_moments
+_CV_MAX_QUERIES = 400
 
 
-def _kernel_weights(u: np.ndarray, kernel: str) -> np.ndarray:
+def _kernel_weights(u: np.ndarray, kernel: str, out=None) -> np.ndarray:
+    """Kernel weights of the scaled offsets ``u``, written into ``out``
+    when it is given."""
     if kernel == "gaussian":
-        return np.exp(-0.5 * u ** 2)
+        w = np.multiply(u, u, out=out)
+        w *= -0.5
+        return np.exp(w, out=w)
     if kernel == "epanechnikov":
-        return np.maximum(0.0, 0.75 * (1.0 - u ** 2))
+        w = np.multiply(u, u, out=out)
+        np.subtract(1.0, w, out=w)
+        w *= 0.75
+        return np.maximum(0.0, w, out=w)
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _local_systems(times, values, t_query, degree, bandwidth, kernel):
-    """Weighted normal equations of the local fits, one per query.
+def _local_moments(times, values, t_query, degree, bandwidths, kernel):
+    """Weighted moments of the local fits, per bandwidth and query.
 
-    With z = (t_i - q)/bandwidth and kernel weights w_i, the normal
-    matrix at query q is the Hankel matrix of the weighted moments
-    S_k = sum_i w_i z_i^k (k = 0..2d), and the right-hand side holds
-    T_m = sum_i w_i z_i^m y_i (m = 0..d).  Both come from one running
-    product w z^k over blocks of _BLOCK queries, so memory stays
-    O(_BLOCK * n) whatever the number of queries.  Returns
-    (active, A, rhs): the number of observations with positive weight,
-    the (q, d+1, d+1) matrices and the (q, d+1) right-hand sides.
+    With z = (t_i - q)/h and kernel weights w_i, the normal matrix of
+    the degree-d fit at query q is the Hankel matrix of the moments
+    S_k = sum_i w_i z_i^k (k = 0..2d), and its right-hand side holds
+    T_m = sum_i w_i z_i^m y_i (m = 0..d).  The offsets t_i - q are
+    formed once per block of _BLOCK queries; for each bandwidth, z and w
+    go into (block, n) buffers allocated once, and one running product
+    w z^k gives every moment.  A lower degree's moments are the first
+    terms of the same product, so ``degree`` is the highest one wanted.
+    Memory stays O(_BLOCK * n) whatever the number of queries.  Returns
+    (active, S, T) of shapes (b, q), (b, q, 2d+1) and (b, q, d+1), with
+    ``active`` the number of observations with positive weight.
     """
-    n_mom = 2 * degree + 1
-    S = np.empty((len(t_query), n_mom))
-    T = np.empty((len(t_query), degree + 1))
-    active = np.empty(len(t_query), dtype=int)
+    n_mom, n_rhs = 2 * degree + 1, degree + 1
+    shape = (len(bandwidths), len(t_query))
+    S = np.empty(shape + (n_mom,))
+    T = np.empty(shape + (n_rhs,))
+    active = np.empty(shape, dtype=int)
+    block = (min(_BLOCK, len(t_query)), len(times))
+    offsets, z, wz = np.empty(block), np.empty(block), np.empty(block)
     for start in range(0, len(t_query), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        z = (times[None, :] - t_query[rows, None]) / bandwidth
-        wz = _kernel_weights(z, kernel)
-        active[rows] = (wz > 0).sum(axis=1)
-        for k in range(n_mom):
-            if k:
-                wz *= z
-            S[rows, k] = wz.sum(axis=1)
-            if k <= degree:
-                T[rows, k] = wz @ values
-    hankel = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
-    return active, S[:, hankel], T
+        m = len(t_query[rows])
+        d = np.subtract(times[None, :], t_query[rows, None], out=offsets[:m])
+        for b, bw in enumerate(bandwidths):
+            zb = np.divide(d, bw, out=z[:m])
+            w = _kernel_weights(zb, kernel, out=wz[:m])
+            active[b, rows] = (w > 0).sum(axis=1)
+            for k in range(n_mom):
+                if k:
+                    w *= zb
+                S[b, rows, k] = w.sum(axis=1)
+                if k < n_rhs:
+                    T[b, rows, k] = w @ values
+    return active, S, T
+
+
+def _normal_equations(S, T, degree):
+    """(A, rhs) of the degree-d fits from one bandwidth's moments: the
+    (q, d+1, d+1) Hankel matrices and the (q, d+1) right-hand sides."""
+    k = np.arange(degree + 1)
+    return S[:, np.add.outer(k, k)], T[:, :degree + 1]
 
 
 def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
@@ -140,9 +168,10 @@ def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    active, A, rhs = _local_systems(data.times, data.values, t_query, degree,
-                                    bandwidth, kernel)
-    bad = t_query[active < degree + 1]
+    active, S, T = _local_moments(data.times, data.values, t_query, degree,
+                                  (bandwidth,), kernel)
+    A, rhs = _normal_equations(S[0], T[0], degree)
+    bad = t_query[active[0] < degree + 1]
     if len(bad):
         raise SmoothingError(
             f"fewer than degree+1 observations receive weight near "
@@ -158,73 +187,81 @@ def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
     return coef[:, 0], coef[:, 1] / bandwidth
 
 
-def _loo_errors(data: Dataset, degree: int, bandwidth: float,
-                kernel: str, query_idx=None) -> np.ndarray | None:
-    """Exact leave-one-out residuals of the level fit at the data times.
+def _loo_residuals(y, active, S, T, degree, w0) -> np.ndarray | None:
+    """Exact leave-one-out residuals of the degree-d level fits at the
+    queries, from one bandwidth's moments; ``y`` holds the observations
+    at the queries and ``w0`` the kernel weight at offset 0.
 
     Uses the linear-smoother identity (y - yhat)/(1 - l_jj), where l_jj
     is the weight the fit at t_j places on observation j.  Returns None
-    when the design is singular for this bandwidth.  ``query_idx``
-    restricts the residuals to a subset of observations (the smoother
-    still uses all of them).
+    when the design is singular.
     """
-    if query_idx is None:
-        query_idx = np.arange(data.n)
-    active, A, rhs = _local_systems(data.times, data.values,
-                                    data.times[query_idx], degree, bandwidth,
-                                    kernel)
     if (active < degree + 1).any():
         return None
+    A, rhs = _normal_equations(S, T, degree)
     try:
         coef = np.linalg.solve(A, rhs[..., None])[..., 0]
         e1 = np.zeros(degree + 1)
         e1[0] = 1.0
         Ainv_e1 = np.linalg.solve(
-            A, np.broadcast_to(e1[:, None],
-                               (len(query_idx), degree + 1, 1)))[..., 0]
+            A, np.broadcast_to(e1[:, None], (len(y), degree + 1, 1)))[..., 0]
     except np.linalg.LinAlgError:
         return None
     level = coef[:, 0]
-    l_jj = _kernel_weights(np.zeros(1), kernel)[0] * Ainv_e1[:, 0]
+    l_jj = w0 * Ainv_e1[:, 0]
     denom = 1.0 - l_jj
     if (denom <= 1e-12).any():
         return None
-    return (data.values[query_idx] - level) / denom
+    return (y - level) / denom
 
 
-_CV_MAX_QUERIES = 400
+def _cv_residuals(data: Dataset, degrees, kernel: str, grid) -> list:
+    """Leave-one-out residuals of the level fits at the CV queries (every
+    k-th observation, at most _CV_MAX_QUERIES of them): one list per
+    degree, with one array (None where singular) per grid value."""
+    stride = max(1, -(-data.n // _CV_MAX_QUERIES))
+    query_idx = np.arange(0, data.n, stride)
+    active, S, T = _local_moments(data.times, data.values,
+                                  data.times[query_idx], max(degrees), grid,
+                                  kernel)
+    y = data.values[query_idx]
+    w0 = _kernel_weights(np.zeros(1), kernel)[0]
+    return [[_loo_residuals(y, active[b], S[b], T[b], d, w0)
+             for b in range(len(grid))] for d in degrees]
 
 
-def cv_bandwidth(data: Dataset, degree: int, kernel: str,
-                 grid) -> float:
+def cv_bandwidth(data: Dataset, degree, kernel: str, grid):
     """Bandwidth from the grid minimizing leave-one-out level error.
 
-    Ties break toward the larger bandwidth.  Raises SmoothingError when
-    every grid value yields a singular design.  On large samples the
-    score is evaluated at a deterministic thinning of the observations
-    (every k-th point) to keep the cost linear in n; the left-out fits
-    always use the full sample.  Each grid value costs one pass of the
-    blocked moment sums of ``_local_systems`` over those queries.
+    ``degree`` is one degree, for which one bandwidth is returned, or a
+    tuple of degrees, for which a tuple of bandwidths is returned in the
+    same order.  Ties break toward the larger bandwidth.  Raises
+    SmoothingError when every grid value yields a singular design for
+    some degree.  On large samples the score is evaluated at a
+    deterministic thinning of the observations (every k-th point) to
+    keep the cost linear in n; the left-out fits always use the full
+    sample.  The blocked moment sums of ``_local_moments`` run once over
+    those queries for the whole grid and every degree.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     if len(grid) == 0 or grid[0] <= 0:
         raise ValueError("bandwidth grid must be nonempty and positive")
-    if data.n > _CV_MAX_QUERIES:
-        stride = -(-data.n // _CV_MAX_QUERIES)
-        query_idx = np.arange(0, data.n, stride)
-    else:
-        query_idx = None
-    best_bw, best_err = None, np.inf
-    for bw in grid:
-        resid = _loo_errors(data, degree, bw, kernel, query_idx)
-        if resid is None:
-            continue
-        err = float(resid @ resid)
-        if err <= best_err:
-            best_bw, best_err = float(bw), err
-    if best_bw is None:
-        raise SmoothingError("all candidate bandwidths give singular designs")
-    return best_bw
+    single = np.ndim(degree) == 0
+    degrees = (degree,) if single else tuple(degree)
+    chosen = []
+    for residuals in _cv_residuals(data, degrees, kernel, grid):
+        best_bw, best_err = None, np.inf
+        for bw, resid in zip(grid, residuals):
+            if resid is None:
+                continue
+            err = float(resid @ resid)
+            if err <= best_err:
+                best_bw, best_err = float(bw), err
+        if best_bw is None:
+            raise SmoothingError(
+                "all candidate bandwidths give singular designs")
+        chosen.append(best_bw)
+    return chosen[0] if single else tuple(chosen)
 
 
 def choose_delta(times, frac: float = 0.05) -> float:

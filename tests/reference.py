@@ -7,11 +7,15 @@ They share no code with the package so they can serve as cross-checks.
 The numpy-scalar trajectory loop is the other kind of reference: the
 solver as it was before it ran on Python floats, kept word for word so
 that tests can require the package's solver to give the same bytes.
+So is the moment smoother with its cross-validation, as it was before
+one kernel pass per query block served every bandwidth and degree.
 """
 
 from bisect import bisect_right
 
 import numpy as np
+
+from dynfit.smooth import Dataset, SmoothingError
 
 
 def cox_de_boor(x: float, k: int, i: int, t) -> float:
@@ -161,3 +165,114 @@ def numpy_scalar_solve_trajectory(model, t_start: float, t_end: float,
                               t_start=float(t_start), t_end=float(t_end),
                               x_start=float(x_start),
                               nonpositive_encountered=bool(nonpos))
+
+
+_BLOCK = 128  # queries per block of the moment sums in _local_systems
+
+
+def _kernel_weights(u: np.ndarray, kernel: str) -> np.ndarray:
+    if kernel == "gaussian":
+        return np.exp(-0.5 * u ** 2)
+    if kernel == "epanechnikov":
+        return np.maximum(0.0, 0.75 * (1.0 - u ** 2))
+    raise ValueError(f"unknown kernel {kernel!r}")
+
+
+def _local_systems(times, values, t_query, degree, bandwidth, kernel):
+    """Weighted normal equations of the local fits, one per query.
+
+    With z = (t_i - q)/bandwidth and kernel weights w_i, the normal
+    matrix at query q is the Hankel matrix of the weighted moments
+    S_k = sum_i w_i z_i^k (k = 0..2d), and the right-hand side holds
+    T_m = sum_i w_i z_i^m y_i (m = 0..d).  Both come from one running
+    product w z^k over blocks of _BLOCK queries, so memory stays
+    O(_BLOCK * n) whatever the number of queries.  Returns
+    (active, A, rhs): the number of observations with positive weight,
+    the (q, d+1, d+1) matrices and the (q, d+1) right-hand sides.
+    """
+    n_mom = 2 * degree + 1
+    S = np.empty((len(t_query), n_mom))
+    T = np.empty((len(t_query), degree + 1))
+    active = np.empty(len(t_query), dtype=int)
+    for start in range(0, len(t_query), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        z = (times[None, :] - t_query[rows, None]) / bandwidth
+        wz = _kernel_weights(z, kernel)
+        active[rows] = (wz > 0).sum(axis=1)
+        for k in range(n_mom):
+            if k:
+                wz *= z
+            S[rows, k] = wz.sum(axis=1)
+            if k <= degree:
+                T[rows, k] = wz @ values
+    hankel = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+    return active, S[:, hankel], T
+
+
+def _loo_errors(data: Dataset, degree: int, bandwidth: float,
+                kernel: str, query_idx=None) -> np.ndarray | None:
+    """Exact leave-one-out residuals of the level fit at the data times.
+
+    Uses the linear-smoother identity (y - yhat)/(1 - l_jj), where l_jj
+    is the weight the fit at t_j places on observation j.  Returns None
+    when the design is singular for this bandwidth.  ``query_idx``
+    restricts the residuals to a subset of observations (the smoother
+    still uses all of them).
+    """
+    if query_idx is None:
+        query_idx = np.arange(data.n)
+    active, A, rhs = _local_systems(data.times, data.values,
+                                    data.times[query_idx], degree, bandwidth,
+                                    kernel)
+    if (active < degree + 1).any():
+        return None
+    try:
+        coef = np.linalg.solve(A, rhs[..., None])[..., 0]
+        e1 = np.zeros(degree + 1)
+        e1[0] = 1.0
+        Ainv_e1 = np.linalg.solve(
+            A, np.broadcast_to(e1[:, None],
+                               (len(query_idx), degree + 1, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    level = coef[:, 0]
+    l_jj = _kernel_weights(np.zeros(1), kernel)[0] * Ainv_e1[:, 0]
+    denom = 1.0 - l_jj
+    if (denom <= 1e-12).any():
+        return None
+    return (data.values[query_idx] - level) / denom
+
+
+_CV_MAX_QUERIES = 400
+
+
+def cv_bandwidth(data: Dataset, degree: int, kernel: str,
+                 grid) -> float:
+    """Bandwidth from the grid minimizing leave-one-out level error.
+
+    Ties break toward the larger bandwidth.  Raises SmoothingError when
+    every grid value yields a singular design.  On large samples the
+    score is evaluated at a deterministic thinning of the observations
+    (every k-th point) to keep the cost linear in n; the left-out fits
+    always use the full sample.  Each grid value costs one pass of the
+    blocked moment sums of ``_local_systems`` over those queries.
+    """
+    grid = np.sort(np.asarray(grid, dtype=float))
+    if len(grid) == 0 or grid[0] <= 0:
+        raise ValueError("bandwidth grid must be nonempty and positive")
+    if data.n > _CV_MAX_QUERIES:
+        stride = -(-data.n // _CV_MAX_QUERIES)
+        query_idx = np.arange(0, data.n, stride)
+    else:
+        query_idx = None
+    best_bw, best_err = None, np.inf
+    for bw in grid:
+        resid = _loo_errors(data, degree, bw, kernel, query_idx)
+        if resid is None:
+            continue
+        err = float(resid @ resid)
+        if err <= best_err:
+            best_bw, best_err = float(bw), err
+    if best_bw is None:
+        raise SmoothingError("all candidate bandwidths give singular designs")
+    return best_bw

@@ -315,6 +315,57 @@ def test_select_m_reuses_the_last_lm_residuals_and_jacobian(true_trajectory,
     assert np.array_equal(cov, fit.covariance) and sigma2 == fit.sigma2_hat
 
 
+def test_two_stage_start_is_solved_once_per_candidate(true_trajectory,
+                                                     monkeypatch):
+    import dynfit.estimator as est
+
+    starts, runs = [], []  # runs: the coefficients solved, per candidate
+    real_solve, real_init = est.solve_trajectory, est._initial_coefficients
+
+    def counted_solve(model, *args, **kwargs):
+        runs[-1].append(model.beta.tobytes())
+        return real_solve(model, *args, **kwargs)
+
+    def recorded_init(*args, **kwargs):
+        runs.append([])
+        starts.append(real_init(*args, **kwargs))
+        return starts[-1]
+
+    monkeypatch.setattr(est, "solve_trajectory", counted_solve)
+    monkeypatch.setattr(est, "_initial_coefficients", recorded_init)
+    select_M(make_replicate(true_trajectory, seed=3),
+             FitConfig(candidate_Ms=(4, 5)))
+    assert len(starts) == 2
+    for start, run in zip(starts, runs):
+        assert isinstance(start, est._Start)
+        # the initializer's solve comes first, and LM does not repeat it
+        assert run[0] == start.beta.tobytes()
+        assert len(run) == len(set(run))
+
+
+def test_start_with_infeasible_jacobian_fails_the_candidate(true_trajectory,
+                                                            monkeypatch):
+    import dynfit.estimator as est
+
+    solved = []
+    real_solve = est.solve_trajectory
+
+    def counted_solve(model, *args, **kwargs):
+        solved.append(model.beta)
+        return real_solve(model, *args, **kwargs)
+
+    def no_jacobian(*args, **kwargs):
+        raise InfeasibleCoefficientsError("no Jacobian here")
+
+    monkeypatch.setattr(est, "solve_trajectory", counted_solve)
+    monkeypatch.setattr(est, "_jacobian", no_jacobian)
+    with pytest.raises(InfeasibleCoefficientsError):
+        fit_at_dimension(make_replicate(true_trajectory, seed=3), FitConfig(),
+                         4)
+    # only the two-stage start was solved: no constant fallback
+    assert len(solved) == 1
+
+
 def test_loo_score_formula():
     rng = np.random.default_rng(4)
     J = rng.standard_normal((30, 3))

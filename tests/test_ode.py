@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynfit.basis import make_basis
+from dynfit.basis import _differentiate, make_basis
 from dynfit.ode import (GradientModel, TrajectoryDivergenceError,
                         NonpositiveGradientError, _real_roots,
                         hessian_sensitivities,
@@ -443,3 +443,17 @@ def test_scalar_gradient_matches_vector_path(true_model):
         assert np.array_equal(model.g(outside), model.g(edges))
         np.testing.assert_allclose(scalar, model.g(outside), rtol=1e-14)
         assert scalar == [NumpyScalarGradient(model).g(x) for x in outside]
+
+
+def test_second_derivative_tables_are_built_on_first_use():
+    basis = make_basis(0.0, 2.0, 7)
+    beta = np.linspace(1.0, 2.0, 7) ** 2
+    model = GradientModel(basis, beta)
+    assert len(basis._tables) == 2 and len(model._gpoly) == 2
+    c2 = _differentiate(_differentiate(basis._tables[0]))
+    x = np.linspace(-0.5, 2.5, 41)
+    second = model.g_second(x)
+    assert len(basis._tables) == 3 and len(model._gpoly) == 3
+    assert np.array_equal(basis._tables[2], c2)
+    assert np.array_equal(model._gpoly[2], np.einsum("jkm,k->jm", c2, beta))
+    assert second[0] == 0.0 and np.abs(second[1:-1]).max() > 0.0

@@ -164,6 +164,19 @@ def test_conditioning_sweep_smoke():
     assert "4->8" in out["shrink_factors"]
 
 
+def test_conditioning_sweep_reads_each_fits_own_jacobian(monkeypatch):
+    calls = []
+    real = estimator.residuals_and_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "residuals_and_jacobian", counted)
+    conditioning_sweep(SimSpec(rng_seed=8), dims=(4,), n=400)
+    assert calls == []
+
+
 def test_conditioning_sweep_prepares_the_sample_once(monkeypatch):
     counts = {"estimate_endpoints": 0, "presmooth": 0}
     for name in counts:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynfit.smooth as smooth
 from dynfit.estimator import presmooth
@@ -8,6 +9,7 @@ from dynfit.smooth import (Dataset, InsufficientDataError, SmoothingError,
                            choose_delta, cv_bandwidth, estimate_endpoints,
                            local_poly)
 from conftest import make_replicate
+import reference
 from reference import local_poly_lstsq
 
 
@@ -105,7 +107,7 @@ def test_loo_errors_match_refits_without_the_point():
     rng = np.random.default_rng(9)
     t = np.sort(rng.uniform(0, 1, 40))
     y = np.cos(2 * t) + 0.05 * rng.standard_normal(40)
-    resid = smooth._loo_errors(Dataset(t, y), 2, 0.2, "gaussian")
+    [[resid]] = smooth._cv_residuals(Dataset(t, y), (2,), "gaussian", [0.2])
     keep = np.ones(40, dtype=bool)
     for j in range(40):
         keep[j] = False
@@ -113,6 +115,60 @@ def test_loo_errors_match_refits_without_the_point():
                                     "gaussian")
         keep[j] = True
         assert resid[j] == pytest.approx(y[j] - level[0], rel=1e-9)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(12, 900), seed=st.integers(0, 2 ** 16),
+       ties=st.booleans(), lowest=st.floats(1e-4, 0.05),
+       kernel=st.sampled_from(["gaussian", "epanechnikov"]),
+       degrees=st.sampled_from([(1, 2), (4,)]))
+def test_one_pass_cv_matches_a_pass_per_bandwidth_and_degree(
+        n, seed, ties, lowest, kernel, degrees):
+    # above 400 points the scores are taken at every k-th one, and the
+    # last block of 128 queries is partial; tied times and bandwidths
+    # down to 1e-4 make singular designs
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, n)
+    if ties:
+        t = np.round(t, 1)
+    data = Dataset(t, np.sin(3.0 * t) + 0.1 * rng.standard_normal(n))
+    grid = np.geomspace(lowest, 0.5, 12)
+    query_idx = np.arange(0, n, -(-n // 400)) if n > 400 else None
+    got = smooth._cv_residuals(data, degrees, kernel, grid)
+    for degree, residuals in zip(degrees, got):
+        for bw, resid in zip(grid, residuals):
+            ref = reference._loo_errors(data, degree, bw, kernel, query_idx)
+            assert (resid is None) == (ref is None)
+            if ref is not None:
+                assert resid.tobytes() == ref.tobytes()
+    chosen = []
+    for degree in degrees:
+        try:
+            chosen.append(reference.cv_bandwidth(data, degree, kernel, grid))
+        except SmoothingError:
+            with pytest.raises(SmoothingError):
+                cv_bandwidth(data, degrees, kernel, grid)
+            return
+    assert cv_bandwidth(data, degrees, kernel, grid) == tuple(chosen)
+    assert cv_bandwidth(data, degrees[-1], kernel, grid) == chosen[-1]
+
+
+def test_presmooth_makes_one_kernel_pass_per_block_and_bandwidth(
+        monkeypatch):
+    # n = 1600: 400 CV queries in 4 blocks for each of the 20 bandwidths,
+    # both degrees at once, then 13 blocks for each of the two fits
+    data = generate_dataset(SimSpec(rng_seed=0, n_range=(3200, 3200)),
+                            0).odd_half()
+    calls = []
+    real = smooth._kernel_weights
+
+    def counted(u, *args, **kwargs):
+        calls.append(np.ndim(u))
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(smooth, "_kernel_weights", counted)
+    presmooth(data)
+    assert calls.count(2) == 20 * 4 + 2 * 13
 
 
 def test_presmooth_memory_is_bounded():
@@ -138,7 +194,7 @@ def test_local_poly_linear_data():
 
 def test_cv_tie_breaks_toward_larger_bandwidth(monkeypatch):
     d = Dataset(np.linspace(0, 1, 30), np.zeros(30))
-    monkeypatch.setattr(smooth, "_loo_errors",
+    monkeypatch.setattr(smooth, "_loo_residuals",
                         lambda *a, **k: np.full(30, 0.125))
     assert cv_bandwidth(d, 1, "gaussian", [0.05, 0.1, 0.4]) == 0.4
 
@@ -147,7 +203,7 @@ def test_cv_zero_error_on_noiseless_linear():
     t = np.sort(np.random.default_rng(4).uniform(0, 1, 50))
     d = Dataset(t, 2 * t + 1)
     for bw in (0.1, 0.3, 0.8):
-        resid = smooth._loo_errors(d, 1, bw, "gaussian")
+        [[resid]] = smooth._cv_residuals(d, (1,), "gaussian", [bw])
         assert float(resid @ resid) < 1e-20
 
 
