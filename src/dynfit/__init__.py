@@ -10,8 +10,8 @@ choice of the basis dimension and pointwise uncertainty bands.
 from .basis import BasisError, SplineBasis, gram_matrix, make_basis
 from .errors import DynfitError
 from .estimator import (AllCandidatesFailedError, EstimatorError, FitConfig,
-                        FitResult, InfeasibleCoefficientsError, LMConfig,
-                        LMReport, NoDescentError, SingularDesignError,
+                        FitResult, InfeasibleCoefficientsError, LMReport,
+                        NoDescentError, Sample, SingularDesignError,
                         approximate_loo_score, conditioning_diagnostic,
                         covariance, fit_at_dimension, lm_fit, loss,
                         residuals_and_jacobian, select_M, support_margin,
@@ -32,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AllCandidatesFailedError", "BasisError", "Dataset", "DynfitError",
     "EstimatorError", "FitConfig", "FitResult", "GradientModel",
-    "InfeasibleCoefficientsError", "InsufficientDataError", "LMConfig",
-    "LMReport", "NoDescentError", "NonpositiveGradientError",
-    "ReplicateReport", "SensitivityBundle", "SimSpec", "SingularDesignError",
+    "InfeasibleCoefficientsError", "InsufficientDataError", "LMReport",
+    "NoDescentError", "NonpositiveGradientError", "ReplicateReport",
+    "Sample", "SensitivityBundle", "SimSpec", "SingularDesignError",
     "SmoothingError", "SplineBasis", "TrajectoryDivergenceError",
     "TrajectorySolution", "approximate_loo_score", "choose_delta",
     "conditioning_diagnostic", "conditioning_sweep", "covariance",

@@ -7,7 +7,8 @@ error-vs-sample-size sweep).  Input is CSV with header ``subject,t,y``
 (``subject`` optional for single-series files); outputs are JSON plus a
 CSV table, validated by docs/output_schema.json.
 
-Exit codes: 0 success, 1 computation failure, 2 usage or input error.
+Exit codes: 0 success, 1 computation failure (every subject failing is
+one), 2 usage or input error, out-of-range numeric options included.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import sys
 import numpy as np
 
 from .errors import DynfitError
-from .estimator import FitConfig, margin_basis, select_M, two_stage_fit
+from .estimator import (FitConfig, Sample, margin_basis, select_M,
+                        two_stage_fit)
 from .ode import GradientModel, solve_trajectory
 from .sim import SimSpec, rate_sweep, run_study
-from .smooth import Dataset, choose_delta, estimate_endpoints
+from .smooth import Dataset
 
 SCHEMA_VERSION = 1
 PREDICTION_GRID = 200
@@ -144,16 +146,35 @@ def _parse_m_candidates(text: str) -> tuple:
     return values
 
 
+def _check_options(args) -> None:
+    """Reject out-of-range numeric options shared by the subcommands."""
+    if args.delta is not None and not 0.0 < args.delta < 0.5:
+        raise InputError("--delta must lie in (0, 1/2)")
+    if not args.h > 0.0:
+        raise InputError("--h must be positive")
+    if args.order < 3:
+        raise InputError("--order must be at least 3")
+    if getattr(args, "replicates", 1) < 1:
+        raise InputError("--replicates must be at least 1")
+    if not getattr(args, "sigma", 0.0) >= 0.0:
+        raise InputError("--sigma must be nonnegative")
+    if getattr(args, "n_min", 1) < 1:
+        raise InputError("--n-min must be at least 1")
+
+
 def _fit_config(args, default_candidates=(4, 5, 6, 7)) -> FitConfig:
     cands = _parse_m_candidates(args.M_candidates) \
         if args.M_candidates else default_candidates
+    if max(cands) < args.order:
+        raise InputError("no --M-candidates entry is at least --order")
     return FitConfig(delta=args.delta, candidate_Ms=cands, order=args.order,
                      h=args.h)
 
 
-def _fit_subjects(args, method: str, record_of, status_of) -> list:
+def _fit_subjects(args, method: str, record_of, status_of) -> int:
     """Write ``record_of(subject, data, time_map)`` for every subject, or
-    its DynfitError under ``errors``; returns the records."""
+    its DynfitError under ``errors``; returns 0, or 1 with a message when
+    every subject failed."""
     series = _read_long_csv(args.input)
     per_subject, errors = [], []
     for subject in sorted(series):
@@ -174,7 +195,10 @@ def _fit_subjects(args, method: str, record_of, status_of) -> list:
     _write_outputs(args.out, payload, rows,
                    ["subject", "M", "cv_score", "sigma2", "status"],
                    args.format)
-    return per_subject
+    if not per_subject:
+        print("all subjects failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_fit(args) -> int:
@@ -184,27 +208,24 @@ def cmd_fit(args) -> int:
         return _subject_record(subject, select_M(data, config), time_map,
                                config.h)
 
-    if not _fit_subjects(args, "integral_curve", record,
-                         lambda r: r["convergence"]["status"]):
-        print("all subjects failed", file=sys.stderr)
-        return 1
-    return 0
+    return _fit_subjects(args, "integral_curve", record,
+                         lambda r: r["convergence"]["status"])
 
 
 def cmd_two_stage(args) -> int:
+    n_basis = 6 if args.M is None else args.M
     if args.M is None:
         print("warning: --M not given, defaulting to M=6", file=sys.stderr)
-        n_basis = 6
-    else:
-        n_basis = args.M
+    if n_basis < args.order:
+        raise InputError("--M must be at least --order")
+    config = FitConfig(delta=args.delta)
 
     def record(subject, data, time_map):
-        delta = args.delta if args.delta is not None \
-            else choose_delta(data.times)
-        x0h, x1h = estimate_endpoints(data, delta)
-        basis = margin_basis(x0h, x1h, n_basis, args.order, data.n)
-        beta = two_stage_fit(data.odd_half(), basis, delta)
-        xs = np.linspace(x0h, x1h, PREDICTION_GRID)
+        sample = Sample(data, config)
+        basis = margin_basis(*sample.endpoints, n_basis, args.order, data.n)
+        beta = two_stage_fit(sample.fit_data, basis, sample.delta,
+                             sample.presmoothed())
+        xs = np.linspace(*sample.endpoints, PREDICTION_GRID)
         return {
             "subject": subject, "M": int(n_basis),
             "beta": [float(b) for b in beta],
@@ -217,8 +238,7 @@ def cmd_two_stage(args) -> int:
             "traj_grid": [],
         }
 
-    return 0 if _fit_subjects(args, "two_stage", record, lambda r: "ols") \
-        else 1
+    return _fit_subjects(args, "two_stage", record, lambda r: "ols")
 
 
 def cmd_simulate(args) -> int:
@@ -245,11 +265,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    n_list = []
-    n = args.n_min
-    while n <= args.n_max:
-        n_list.append(n)
-        n *= 2
+    n_list = [args.n_min]
+    while 2 * n_list[-1] <= args.n_max:
+        n_list.append(2 * n_list[-1])
     if len(n_list) < 4:
         raise InputError("need at least 4 doubling sample sizes between "
                          "--n-min and --n-max")
@@ -327,6 +345,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,14 +11,14 @@ closed-form trajectory sensitivities.  Coefficient vectors for which
 g_beta is not positive on the basis domain get an infinite loss and act
 as rejected steps, which keeps the search unconstrained.
 
-The whole pipeline at one basis dimension is ``fit_at_dimension``:
-trim, estimate the endpoints, widen the basis by a margin, start from
-the two-stage regression, run LM, score by approximate leave-one-out
-(from the linearized hat matrix at the fitted coefficients) and take
+A ``Sample`` prepares a dataset once: the trimming level, the endpoints
+from the even-indexed half, and the odd-indexed half, with its
+presmoothing, that every fit uses; so the two halves are independent.
+On it, ``fit_at_dimension`` widens the basis by a margin, starts from
+the two-stage regression, runs LM, scores by approximate leave-one-out
+(from the linearized hat matrix at the fitted coefficients) and takes
 the Gauss-Newton covariance.  ``select_M`` runs the same body for every
-candidate dimension, sharing the per-dataset work, and keeps the best
-score.  The start value comes from the even-indexed half of the sample;
-everything else uses the odd-indexed half, so the two are independent.
+candidate dimension and keeps the best score.
 """
 
 from __future__ import annotations
@@ -69,15 +69,11 @@ class AllCandidatesFailedError(EstimatorError):
         self.failures = failures
 
 
-@dataclass(frozen=True)
-class LMConfig:
-    lambda_init: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    max_iter: int = 200
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    lambda_max: float = 1e12
+# LM damping: start, factor on a rejected and on an accepted step, cap;
+# the iteration limit; tolerances on |gradient| / (1 + loss) and on
+# |step| / (1 + |beta|).
+_LAMBDA_INIT, _LAMBDA_UP, _LAMBDA_DOWN, _LAMBDA_MAX = 1e-3, 10.0, 0.1, 1e12
+_MAX_ITER, _GRAD_TOL, _STEP_TOL = 200, 1e-8, 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,14 +83,13 @@ class FitConfig:
     ``delta`` of None means the smallest trimming level that puts about
     5% of the observations in each tail.  The basis margin is not
     configurable; it follows min(M^(-3/2) log n, s_M / log n) with s_M
-    the smallest support length of the candidate basis.  Smoothing is
-    not configurable either: see ``estimate_endpoints`` and ``presmooth``.
+    the smallest support length of the candidate basis.  Smoothing and LM
+    are fixed too: see ``estimate_endpoints``, ``presmooth`` and ``lm_fit``.
     """
 
     delta: float | None = None
     candidate_Ms: tuple = (3, 4, 5)
     order: int = 4
-    lm: LMConfig = field(default_factory=LMConfig)
     h: float = 1e-3
 
     def __post_init__(self):
@@ -245,18 +240,18 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
     """Levenberg-Marquardt minimization of the trimmed loss.
 
     Solves (J'J + lambda diag(J'J)) step = J'r at each iteration;
-    accepted steps shrink lambda, rejected or infeasible ones grow it.
+    accepted steps shrink lambda, rejected or infeasible ones grow it, by
+    the module's ``_LAMBDA_*`` constants; ``_*_TOL`` end the run.
     ``init_beta`` may also be a ``_Start``, evaluated with the step size
-    and trimming level that LM uses.
-    Returns (beta_hat, LMReport, residuals, J): the last two are the
-    residual vector and its Jacobian d(residual)/d(beta) at beta_hat, as
-    ``residuals_and_jacobian`` gives them, from the evaluation LM already
-    made there.  Raises InfeasibleCoefficientsError if the start is
-    infeasible, and NoDescentError as soon as lambda passes
-    ``lambda_max``, whether or not earlier steps were accepted; the error
-    carries the last accepted coefficients and the report.
+    and trimming level that LM uses.  Returns (beta_hat, LMReport,
+    residuals, J): the last two are the residual vector and its Jacobian
+    d(residual)/d(beta) at beta_hat, as ``residuals_and_jacobian`` gives
+    them, from the evaluation LM already made there.  Raises
+    InfeasibleCoefficientsError if the start is infeasible, and
+    NoDescentError as soon as lambda passes ``_LAMBDA_MAX``, whether or
+    not earlier steps were accepted; the error carries the last accepted
+    coefficients and the report.
     """
-    lm = config.lm
     delta = _delta_of(config, data)
     if isinstance(init_beta, _Start):
         beta = init_beta.beta.copy()
@@ -269,15 +264,15 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
         raise InfeasibleCoefficientsError("initial coefficients are infeasible")
     t_in = data.times[trim_mask(data.times, delta)]
     J = _jacobian(model, traj, t_in)
-    lam = lm.lambda_init
+    lam = _LAMBDA_INIT
     accepted = [value]
     status = "max_iter"
     grad = J.T @ resid
     it = 0
-    while it < lm.max_iter:
+    while it < _MAX_ITER:
         it += 1
         gnorm = np.abs(grad).max()
-        if gnorm <= lm.grad_tol * (1.0 + value):
+        if gnorm <= _GRAD_TOL * (1.0 + value):
             status = "converged"
             break
         JtJ = J.T @ J
@@ -301,21 +296,21 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
             model, traj = cand_model, cand_traj
             J = cand_J
             grad = J.T @ resid
-            lam *= lm.lambda_down
+            lam *= _LAMBDA_DOWN
             accepted.append(value)
-            if np.linalg.norm(step) <= lm.step_tol * (1.0 + np.linalg.norm(beta)):
+            if np.linalg.norm(step) <= _STEP_TOL * (1.0 + np.linalg.norm(beta)):
                 status = "step_tol"
                 break
         else:
-            lam *= lm.lambda_up
-            if lam > lm.lambda_max:
+            lam *= _LAMBDA_UP
+            if lam > _LAMBDA_MAX:
                 report = LMReport(status="no_descent", iterations=it,
                                   final_lambda=lam,
                                   grad_norm=float(np.abs(grad).max()),
                                   loss_value=value,
                                   accepted_losses=tuple(accepted))
                 raise NoDescentError(
-                    f"damping exceeded {lm.lambda_max:g} without descent",
+                    f"damping exceeded {_LAMBDA_MAX:g} without descent",
                     best_beta=beta, report=report)
     report = LMReport(status=status, iterations=it, final_lambda=lam,
                       grad_norm=float(np.abs(grad).max()), loss_value=value,
@@ -350,14 +345,15 @@ def presmooth(data: Dataset):
 
 
 def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
-                  presmoothed=None) -> np.ndarray:
+                  presmoothed) -> np.ndarray:
     """Regress the smoothed derivative on basis functions of the level.
 
     Ordinary least squares of X'hat(t_j) on phi(Xhat(t_j)) over the
-    trimmed-in observations.  A ridge jitter of 1e-10 I is added only
-    when the normal matrix is numerically singular, with a warning.
+    trimmed-in observations; ``presmoothed`` is the pair ``presmooth``
+    gives for ``data``.  A ridge jitter of 1e-10 I is added only when the
+    normal matrix is numerically singular, with a warning.
     """
-    level, deriv = presmoothed if presmoothed is not None else presmooth(data)
+    level, deriv = presmoothed
     mask = trim_mask(data.times, delta)
     if mask.sum() < basis.n_basis:
         raise SingularDesignError("fewer trimmed-in points than coefficients")
@@ -393,7 +389,7 @@ def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
     """
     x0_hat, x1_hat = endpoints
     try:
-        beta = two_stage_fit(data, basis, delta, presmoothed=presmoothed)
+        beta = two_stage_fit(data, basis, delta, presmoothed)
         evaluation = _evaluate(beta, data, delta, x0_hat, basis, h)
         if np.isfinite(evaluation[0]):
             return _Start(beta, evaluation)
@@ -431,9 +427,10 @@ def _gauss_newton(resid: np.ndarray, J: np.ndarray):
     return 0.5 * (D + D.T), sigma2
 
 
-class _Sample:
-    """What every candidate dimension shares: the trimming level, the
-    endpoints (from the even half), the odd half and its presmoothing."""
+class Sample:
+    """A dataset prepared once for every fit: ``delta`` (``config.delta`` or
+    ``choose_delta``), the ``endpoints`` from the even half, and the odd
+    half ``fit_data`` with its ``presmoothed()`` pair, made on first use."""
 
     def __init__(self, data: Dataset, config: FitConfig):
         if data.n < 10:
@@ -445,8 +442,7 @@ class _Sample:
         self._smoothed = None
 
     def presmoothed(self):
-        # Every candidate smooths the same data: do it once, and fail each
-        # later candidate the same way.
+        # one smoothing for every fit; a failure fails each later fit alike
         if self._smoothed is None:
             try:
                 self._smoothed = presmooth(self.fit_data)
@@ -457,7 +453,7 @@ class _Sample:
         return self._smoothed
 
 
-def _fit(sample: _Sample, config: FitConfig, M: int, margin: float | None):
+def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
     """(FitResult, J): the fit at dimension M and the residual Jacobian at
     its coefficients, which is not kept on the result."""
     x0_hat, x1_hat = sample.endpoints
@@ -476,23 +472,27 @@ def _fit(sample: _Sample, config: FitConfig, M: int, margin: float | None):
                      convergence=report, n_eff=len(resid)), J
 
 
-def fit_at_dimension(data: Dataset, config: FitConfig, M: int,
+def fit_at_dimension(data: Dataset | Sample, config: FitConfig, M: int,
                      margin: float | None = None) -> FitResult:
     """The whole fit at basis dimension M, with its LOO score and
     covariance; ``margin`` defaults to ``support_margin``.  The
-    ``candidate_Ms`` of ``config`` are not read."""
-    return _fit(_Sample(data, config), config, M, margin)[0]
+    ``candidate_Ms`` of ``config`` are not read.  A ``Sample`` given as
+    ``data`` supplies delta, from the config it was built with."""
+    sample = data if isinstance(data, Sample) else Sample(data, config)
+    return _fit(sample, config, M, margin)[0]
 
 
-def select_M(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
+def select_M(data: Dataset | Sample,
+             config: FitConfig = FitConfig()) -> FitResult:
     """Fit every candidate dimension and keep the best LOO score.
 
     Endpoints come from the even-indexed half of the sample, the fits
-    use the odd-indexed half.  Candidates that fail (infeasible margin,
-    singular designs, no descent, ...) are recorded and skipped; ties in
-    the score break toward the smaller dimension.
+    use the odd-indexed half; a ``Sample`` given as ``data`` supplies
+    delta, from the config it was built with.  Candidates that fail
+    (infeasible margin, singular designs, no descent, ...) are recorded
+    and skipped; ties in the score break toward the smaller dimension.
     """
-    sample = _Sample(data, config)
+    sample = data if isinstance(data, Sample) else Sample(data, config)
     fits: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for M in sorted(set(config.candidate_Ms)):

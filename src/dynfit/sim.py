@@ -5,9 +5,9 @@ function drives a monotone trajectory from x(0) = 0.25; each replicate
 draws a sample size from {60, ..., 100}, uniform observation times, and
 Gaussian noise with sd 0.01, then fits both the integral-curve
 estimator (with data-driven dimension selection) and the two-stage
-regression estimator on the same data and basis.  The rate sweep fits
-at a forced dimension with ``fit_at_dimension``; the conditioning sweep
-runs the same fit body at every dimension on one prepared sample.
+regression estimator on the same basis and prepared ``Sample``.  The
+rate sweep fits at a forced dimension with ``fit_at_dimension``; the
+conditioning sweep runs the fit body at every dimension on one Sample.
 
 Streams are counter-based (Philox keyed by (seed, replicate index)), so
 replicates are independent and insensitive to execution order.
@@ -21,9 +21,9 @@ import numpy as np
 
 from .basis import _leggauss, make_basis
 from .errors import DynfitError
-from .estimator import (EstimatorError, FitConfig, _delta_of, _fit,
-                        _lambda_min, _Sample, fit_at_dimension, select_M,
-                        support_margin, two_stage_fit)
+from .estimator import (EstimatorError, FitConfig, Sample, _fit, _lambda_min,
+                        fit_at_dimension, select_M, support_margin,
+                        two_stage_fit)
 from .ode import GradientModel, _sorted_unique, solve_trajectory
 from .smooth import Dataset
 
@@ -123,27 +123,28 @@ def _model_ise(fit_model: GradientModel, true_model: GradientModel,
 
 def run_replicate(spec: SimSpec, index: int, config: FitConfig,
                   truth=None) -> ReplicateReport:
-    """Generate one dataset and fit both estimators on it.
+    """Generate one dataset and fit both estimators on one ``Sample`` of it.
 
-    A fit that fails with a DynfitError is reported as a failed
-    replicate; any other exception propagates.
+    A preparation or fit that fails with a DynfitError is reported as a
+    failed replicate; any other exception propagates.
     """
     truth = truth if truth is not None else _true_trajectory(spec)
     data = generate_dataset(spec, index, _truth=truth)
-    delta_used = _delta_of(config, data)
-    x_true = (truth.state_at(delta_used), truth.state_at(1.0 - delta_used))
     try:
-        fit = select_M(data, config)
+        sample = Sample(data, config)
+        fit = select_M(sample, config)
     except DynfitError as exc:
         return ReplicateReport(seed=index, n=data.n, chosen_M=-1,
                                ise_onestep=np.nan, ise_twostage=np.nan,
                                endpoint_errors=(np.nan, np.nan),
                                status=f"failed: {type(exc).__name__}",
                                extras={"index": index})
+    x_true = (truth.state_at(fit.delta), truth.state_at(1.0 - fit.delta))
     lo, hi = fit.endpoints
     ise1 = _model_ise(fit.model, spec.true_model, lo, hi)
     try:
-        beta_ts = two_stage_fit(data.odd_half(), fit.model.basis, fit.delta)
+        beta_ts = two_stage_fit(sample.fit_data, fit.model.basis, fit.delta,
+                                sample.presmoothed())
         ise2 = _model_ise(GradientModel(fit.model.basis, beta_ts),
                           spec.true_model, lo, hi)
     except EstimatorError:
@@ -211,7 +212,7 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
     """
     config = config if config is not None else FitConfig()
     data = generate_dataset(replace(spec, sigma=0.0, n_range=(n, n)), 0)
-    sample = _Sample(data, config)
+    sample = Sample(data, config)
     ref = make_basis(*sample.endpoints, max(dims), config.order)
     margin = support_margin(max(dims), n, ref.smallest_support)
     lam = {M: _lambda_min(_fit(sample, config, M, margin)[1])
@@ -231,12 +232,13 @@ def rate_sweep(spec: SimSpec, n_list, replicates: int = 30,
     For each sample size, the basis dimension follows
     ceil(dimension_scale * n**(1/(2*smoothness+3))) (or ``fixed_M``),
     and the mean one-step error over the replicates is recorded.
-    Returns the OLS slope with its standard error.  Requires at least
-    four sample sizes and a 70% success rate per n.
+    Returns the OLS slope with its standard error.  Requires four sample
+    sizes or more, a replicate or more and a 70% success rate per n.
     """
     n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 4:
-        raise ValueError("need at least 4 sample sizes for a slope")
+    if len(n_list) < 4 or replicates < 1:
+        raise ValueError("need at least 4 sample sizes and one replicate "
+                         "per size for a slope")
     config = config if config is not None else FitConfig()
     exponent = 1.0 / (2 * smoothness + 3)
     per_n = []

@@ -285,20 +285,20 @@ def choose_delta(times, frac: float = 0.05) -> float:
     return float(delta)
 
 
-def estimate_endpoints(data: Dataset, delta: float, p: int = 4,
-                       kernel: str = "gaussian",
-                       c_grid=(0.25, 0.5, 1.0, 2.0)) -> tuple[float, float]:
+def estimate_endpoints(data: Dataset, delta: float) -> tuple[float, float]:
     """Trajectory values at the trimmed endpoints, from the even half.
 
-    Fits a local polynomial of degree ``p`` with bandwidth c * m**(-1/(2p+3))
-    (m the subsample size, c picked by leave-one-out CV) and evaluates
-    the level at delta and 1 - delta.  Uses only even-indexed
-    observations so the estimates are independent of the odd-indexed
-    half that feeds the main fit.  Degree 4 keeps the bias small enough
-    for noiseless data to anchor the trajectory fit almost exactly;
-    candidate bandwidths without 2(p+1) points in reach of an endpoint
-    are dropped before cross-validation.
+    Fits a Gaussian-kernel local polynomial of degree p = 4 with
+    bandwidth c * m**(-1/(2p+3)) (m the subsample size, c in {1/4, 1/2,
+    1, 2} picked by leave-one-out CV) and evaluates the level at delta
+    and 1 - delta.  Uses only even-indexed observations so the estimates
+    are independent of the odd-indexed half that feeds the main fit.
+    Degree 4 keeps the bias small enough for noiseless data to anchor
+    the trajectory fit almost exactly; candidate bandwidths without
+    2(p+1) points in reach of an endpoint are dropped before
+    cross-validation.
     """
+    p, c_grid = 4, (0.25, 0.5, 1.0, 2.0)
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must be in (0, 1/2)")
     sub = data.even_half()
@@ -315,8 +315,8 @@ def estimate_endpoints(data: Dataset, delta: float, p: int = 4,
             f"no candidate bandwidth has {need} points within reach of the "
             f"trimmed endpoints")
     try:
-        bw = cv_bandwidth(sub, p, kernel, grid)
-        level, _ = local_poly(sub, p, bw, kernel, [delta, 1.0 - delta])
+        bw = cv_bandwidth(sub, p, "gaussian", grid)
+        level, _ = local_poly(sub, p, bw, "gaussian", [delta, 1.0 - delta])
     except SmoothingError as exc:
         raise InsufficientDataError(
             f"endpoint smoothing impossible: {exc}") from None

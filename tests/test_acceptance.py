@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dynfit import estimator
 from dynfit.basis import gram_matrix, make_basis
 from dynfit.estimator import FitConfig, lm_fit, loss, residuals_and_jacobian
 from dynfit.ode import (GradientModel, hessian_sensitivities,
@@ -166,7 +167,8 @@ def test_criterion_6_invariant_suites(true_model, true_trajectory):
     assert np.all(np.diff(report.accepted_losses) < 0)
     assert report.status == "converged"
     r2, J2 = residuals_and_jacobian(beta_hat, d, delta, x0, basis)
-    assert np.abs(J2.T @ r2).max() <= cfg.lm.grad_tol * (1 + report.loss_value)
+    assert np.abs(J2.T @ r2).max() <= \
+        estimator._GRAD_TOL * (1 + report.loss_value)
 
     # trimming exactness
     outside = (d.times < delta) | (d.times > 1 - delta)

@@ -155,6 +155,53 @@ def test_fit_bad_header(tmp_path):
     assert main(["fit", str(f), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.fixture(scope="session")
+def short_csv(tmp_path_factory):
+    """30 rows of one noiseless benchmark series in ``t,y`` form."""
+    d = generate_dataset(SimSpec(rng_seed=4, sigma=0.0, n_range=(30, 30)), 0)
+    path = tmp_path_factory.mktemp("cli") / "short.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "y"])
+        w.writerows(zip(d.times, d.values))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{csv}", "--delta", "0.7"],
+    ["fit", "{csv}", "--delta", "0"],
+    ["fit", "{csv}", "--h", "-1"],
+    ["fit", "{csv}", "--h", "0"],
+    ["fit", "{csv}", "--order", "2"],
+    ["fit", "{csv}", "--M-candidates", "0"],
+    ["two-stage", "{csv}", "--M", "2"],
+    ["two-stage", "{csv}", "--delta", "0.5"],
+    ["simulate", "--replicates", "0"],
+    ["simulate", "--sigma", "-1"],
+    ["rates", "--replicates", "0"],
+    ["rates", "--n-min", "0"],
+])
+def test_bad_numeric_option_is_an_input_error(short_csv, tmp_path, capsys,
+                                              argv):
+    out = tmp_path / "o"
+    argv = [a.format(csv=short_csv) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.json").exists()
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["two-stage", "--M", "6"]])
+def test_all_subjects_failed_is_reported(tmp_path, capsys, command):
+    few = tmp_path / "few.csv"
+    few.write_text("t,y\n" + "".join(f"{t},{t + 1}\n" for t in range(5)))
+    out = tmp_path / "o"
+    assert main([command[0], str(few), "--out", str(out)] + command[1:]) == 1
+    assert "all subjects failed" in capsys.readouterr().err
+    assert json.load(open(f"{out}.json"))["errors"][0]["error"] == \
+        "InputError: fewer than 10 rows"
+
+
 def test_two_stage_defaults_with_warning(single_csv, tmp_path, capsys,
                                          schema):
     out = tmp_path / "ts"

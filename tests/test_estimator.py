@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynfit import estimator
 from dynfit.basis import SplineBasis, make_basis
 from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               FitConfig, InfeasibleCoefficientsError,
-                              LMConfig, NoDescentError, SingularDesignError,
+                              NoDescentError, Sample, SingularDesignError,
                               approximate_loo_score, conditioning_diagnostic,
                               constant_coefficients, covariance,
                               fit_at_dimension, lm_fit, loss, margin_basis,
@@ -164,13 +165,15 @@ def test_lm_monotone_descent_and_stationarity(true_trajectory):
     assert report.status == "converged"
     resid, J = residuals_and_jacobian(beta, d, delta, x0, basis)
     gnorm = np.abs(J.T @ resid).max()
-    assert gnorm <= cfg.lm.grad_tol * (1 + report.loss_value)
+    assert gnorm <= estimator._GRAD_TOL * (1 + report.loss_value)
 
 
-def test_lm_no_descent_error(true_model, true_trajectory):
+def test_lm_no_descent_error(true_model, true_trajectory, monkeypatch):
     d, delta, x0, basis = fitting_setup(true_trajectory)
     beta_star = project_true(basis, true_model)
-    cfg = FitConfig(delta=delta, lm=LMConfig(grad_tol=0.0, step_tol=0.0))
+    monkeypatch.setattr(estimator, "_GRAD_TOL", 0.0)
+    monkeypatch.setattr(estimator, "_STEP_TOL", 0.0)
+    cfg = FitConfig(delta=delta)
     with pytest.raises(NoDescentError) as err:
         lm_fit(beta_star, d, cfg, x0, basis)
     assert np.linalg.norm(err.value.best_beta - beta_star) < 1e-8
@@ -240,7 +243,7 @@ def test_two_stage_recovers_in_span_gradient(true_model, true_trajectory):
     x0 = true_trajectory.state_at(delta)
     x1 = true_trajectory.state_at(1 - delta)
     basis = make_basis(x0 - 0.02, x1 + 0.02, 4, 4)
-    beta = two_stage_fit(d, basis, delta)
+    beta = two_stage_fit(d, basis, delta, presmooth(d))
     fitted = GradientModel(basis, beta)
     xs = np.linspace(x0, x1, 2000)
     ise = np.trapezoid((fitted.g(xs) - true_model.g(xs)) ** 2, xs)
@@ -255,7 +258,7 @@ def test_two_stage_singular_when_support_uncovered(true_trajectory):
     # basis extends far beyond the data's state range on the right
     basis = make_basis(0.2, 3.0, 8, 4)
     with pytest.raises(SingularDesignError):
-        two_stage_fit(d, basis, delta)
+        two_stage_fit(d, basis, delta, presmooth(d))
 
 
 def test_two_stage_near_singular_design_warns_and_adds_ridge():
@@ -457,6 +460,33 @@ def test_select_presmooths_once(true_trajectory, monkeypatch):
         "SmoothingError: all candidate bandwidths give singular designs")
 
 
+def fit_bytes(fit):
+    """Every array, score, failure and LM report of a fit, as bytes."""
+    return repr((fit.model.beta.tobytes(), fit.covariance.tobytes(),
+                 fit.model.basis.knots.tobytes(), fit.chosen_M,
+                 fit.loss_value, fit.cv_score, fit.sigma2_hat, fit.endpoints,
+                 fit.delta, fit.convergence, fit.n_eff,
+                 sorted(fit.candidate_scores.items()),
+                 sorted(fit.candidate_failures.items())))
+
+
+def test_prepared_sample_fits_are_bit_equal_to_dataset_fits(true_trajectory):
+    d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
+    cfg = FitConfig(candidate_Ms=(3, 4, 5))
+    assert fit_bytes(select_M(Sample(d, cfg), cfg)) == \
+        fit_bytes(select_M(d, cfg))
+    assert fit_bytes(fit_at_dimension(Sample(d, cfg), cfg, 5)) == \
+        fit_bytes(fit_at_dimension(d, cfg, 5))
+
+
+def test_sample_supplies_its_own_delta(true_trajectory):
+    d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
+    sample = Sample(d, FitConfig(delta=0.1))
+    fit = fit_at_dimension(sample, FitConfig(), 4)
+    assert fit.delta == sample.delta == 0.1
+    assert fit.endpoints == sample.endpoints
+
+
 def test_select_needs_enough_data():
     d = Dataset(np.linspace(0, 1, 8), np.linspace(0.2, 1.0, 8))
     with pytest.raises(EstimatorError):
@@ -524,7 +554,8 @@ def test_two_stage_agrees_with_one_step_in_easy_limit(true_trajectory):
     y = true_trajectory.state_at(t) + 1e-6 * rng.standard_normal(5000)
     d = Dataset(t, y)
     fit = select_M(d, FitConfig(candidate_Ms=(4,)))
-    beta_ts = two_stage_fit(d.odd_half(), fit.model.basis, fit.delta)
+    beta_ts = two_stage_fit(d.odd_half(), fit.model.basis, fit.delta,
+                            presmooth(d.odd_half()))
     ts_model = GradientModel(fit.model.basis, beta_ts)
     xs = np.linspace(*fit.endpoints, 3000)
     diff = np.trapezoid((ts_model.g(xs) - fit.model.g(xs)) ** 2, xs)

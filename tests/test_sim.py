@@ -85,7 +85,8 @@ def test_paired_comparison_uses_same_data_and_basis(true_trajectory):
 
     data = generate_dataset(spec, 0)
     fit = select_M(data, cfg)
-    beta_ts = two_stage_fit(data.odd_half(), fit.model.basis, fit.delta)
+    beta_ts = two_stage_fit(data.odd_half(), fit.model.basis, fit.delta,
+                            estimator.presmooth(data.odd_half()))
     ts = GradientModel(fit.model.basis, beta_ts)
     lo, hi = fit.endpoints
     cuts = np.concatenate([fit.model.basis.breakpoints,
@@ -117,6 +118,34 @@ def test_run_replicate_failure_is_recorded():
     assert np.isnan(rep.ise_onestep)
 
 
+def test_run_replicate_presmooths_once(monkeypatch):
+    calls = []
+
+    def counted(data, _real=estimator.presmooth):
+        calls.append(data.n)
+        return _real(data)
+
+    monkeypatch.setattr(estimator, "presmooth", counted)
+    spec = SimSpec(rng_seed=0)
+    for index in range(3):
+        calls.clear()
+        rep = run_replicate(spec, index, FitConfig(candidate_Ms=(3, 4, 5)))
+        assert rep.chosen_M > 0 and np.isfinite(rep.ise_twostage)
+        assert len(calls) == 1
+
+
+def test_run_replicate_records_a_trimming_failure(monkeypatch):
+    from dynfit.smooth import TrimmingError
+
+    def untrimmable(times):
+        raise TrimmingError("too few observations to trim")
+
+    monkeypatch.setattr(estimator, "choose_delta", untrimmable)
+    rep = run_replicate(SimSpec(rng_seed=3), 0, FitConfig())
+    assert rep.status == "failed: TrimmingError"
+    assert rep.chosen_M == -1
+
+
 def test_run_replicate_propagates_programming_errors(monkeypatch):
     import dynfit.sim as sim
 
@@ -133,6 +162,11 @@ def test_rate_sweep_needs_four_sizes():
         rate_sweep(SimSpec(), [500], replicates=2)
     with pytest.raises(ValueError):
         rate_sweep(SimSpec(), [200, 400, 800], replicates=2)
+
+
+def test_rate_sweep_needs_a_replicate():
+    with pytest.raises(ValueError):
+        rate_sweep(SimSpec(), [200, 400, 800, 1600], replicates=0)
 
 
 @pytest.mark.slow
