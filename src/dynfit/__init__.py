@@ -7,19 +7,18 @@ initialized by a two-stage smoothing regression, with data-driven
 choice of the basis dimension and pointwise uncertainty bands.
 """
 
-from .basis import BasisError, SplineBasis, gram_matrix, make_basis
+from .basis import BasisError, SplineBasis, make_basis
 from .errors import DynfitError
 from .estimator import (AllCandidatesFailedError, EstimatorError, FitConfig,
                         FitResult, InfeasibleCoefficientsError, LMReport,
                         NoDescentError, Sample, SingularDesignError,
-                        approximate_loo_score, conditioning_diagnostic,
-                        covariance, fit_at_dimension, lm_fit, loss,
+                        approximate_loo_score, fit_at_dimension, lm_fit,
                         residuals_and_jacobian, select_M, support_margin,
                         two_stage_fit)
 from .ode import (GradientModel, NonpositiveGradientError, SensitivityBundle,
                   TrajectoryDivergenceError, TrajectorySolution,
                   hessian_sensitivities, sensitivities_closed_form,
-                  sensitivities_ode, solve_trajectory)
+                  solve_trajectory)
 from .sim import (ReplicateReport, SimSpec, conditioning_sweep,
                   generate_dataset, integrated_squared_error, rate_sweep,
                   run_replicate, run_study, true_gradient_model)
@@ -37,12 +36,10 @@ __all__ = [
     "Sample", "SensitivityBundle", "SimSpec", "SingularDesignError",
     "SmoothingError", "SplineBasis", "TrajectoryDivergenceError",
     "TrajectorySolution", "approximate_loo_score", "choose_delta",
-    "conditioning_diagnostic", "conditioning_sweep", "covariance",
-    "cv_bandwidth", "estimate_endpoints", "fit_at_dimension",
-    "generate_dataset", "gram_matrix", "hessian_sensitivities",
-    "integrated_squared_error", "lm_fit", "local_poly", "loss", "make_basis",
+    "conditioning_sweep", "cv_bandwidth", "estimate_endpoints",
+    "fit_at_dimension", "generate_dataset", "hessian_sensitivities",
+    "integrated_squared_error", "lm_fit", "local_poly", "make_basis",
     "rate_sweep", "residuals_and_jacobian", "run_replicate", "run_study",
-    "select_M", "sensitivities_closed_form", "sensitivities_ode",
-    "solve_trajectory", "support_margin", "true_gradient_model",
-    "two_stage_fit",
+    "select_M", "sensitivities_closed_form", "solve_trajectory",
+    "support_margin", "true_gradient_model", "two_stage_fit",
 ]

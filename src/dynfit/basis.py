@@ -5,9 +5,10 @@ interval: interior knots equally spaced, boundary knots repeated
 ``order`` times so that the combined support of the functions is exactly
 the interval.  Each function is rescaled to unit L2 norm.
 
-Evaluation is backed by per-interval polynomial coefficient tables built
-once from the Cox-de Boor recursion, so evaluating all functions at a
-point is a single table lookup plus a small matrix-vector product.
+Evaluation of the functions and of their first derivatives is backed by
+per-interval polynomial coefficient tables built once from the Cox-de
+Boor recursion, so evaluating all functions at a point is a single
+table lookup plus a small matrix-vector product.
 """
 
 from __future__ import annotations
@@ -151,38 +152,31 @@ class SplineBasis:
     knots: np.ndarray
     norm_factors: np.ndarray
     breakpoints: np.ndarray = field(repr=False)
-    # normalized coefficients of derivatives 0 and 1; 2 is added on first use
+    # normalized coefficient tables of the values and first derivatives
     _tables: tuple = field(repr=False)
 
     @property
     def knot_spacing(self) -> float:
-        return (self.x_hi - self.x_lo) / (self.n_basis - self.order + 1)
+        return _knot_spacing(self.knots, self.order)
 
     @property
     def smallest_support(self) -> float:
         """Length of the shortest support among the basis functions."""
-        k = self.order
-        return float(min(self.knots[i + k] - self.knots[i]
-                         for i in range(self.n_basis)))
-
-    def _table(self, deriv: int) -> np.ndarray:
-        if deriv == len(self._tables):
-            object.__setattr__(self, "_tables", self._tables
-                               + (_differentiate(self._tables[-1]),))
-        return self._tables[deriv]
+        return _smallest_support(self.knots, self.order)
 
     def interval_index(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, len(self.breakpoints) - 2)
 
     def eval(self, x, deriv: int = 0) -> np.ndarray:
-        """Values of all functions at ``x``; zeros outside the domain.
+        """Values (deriv 0) or first derivatives (deriv 1) of all functions
+        at ``x``; zeros outside the domain.
 
         Scalar ``x`` gives shape (n_basis,), arrays give (len(x), n_basis).
         """
-        if deriv not in (0, 1, 2):
-            raise ValueError("deriv must be 0, 1 or 2")
-        table = self._table(deriv)
+        if deriv not in (0, 1):
+            raise ValueError("deriv must be 0 or 1")
+        table = self._tables[deriv]
         if np.isscalar(x) or np.ndim(x) == 0:
             x = float(x)
             if x < self.x_lo or x > self.x_hi:
@@ -199,15 +193,33 @@ class SplineBasis:
         vals[~inside] = 0.0
         return vals
 
-    def eval_raw(self, x, deriv: int = 0) -> np.ndarray:
-        """Values of the unnormalized (partition-of-unity) splines."""
-        return self.eval(x, deriv) / self.norm_factors
 
-    def quadrature_nodes(self, n_nodes: int | None = None):
-        """Gauss-Legendre nodes/weights on every knot interval."""
-        nodes, half, w = _gauss_nodes(self.breakpoints,
-                                      n_nodes or self.order + 1)
-        return nodes.ravel(), (half[:, None] * w[None, :]).ravel()
+def _knot_vector(x_lo: float, x_hi: float, n_basis: int, order: int):
+    """(breakpoints, knots) of the clamped basis, after checking the
+    arguments: equally spaced breakpoints, boundary knots repeated
+    ``order`` times."""
+    if not (np.isfinite(x_lo) and np.isfinite(x_hi)) or x_lo >= x_hi:
+        raise BasisError(f"degenerate interval [{x_lo}, {x_hi}]")
+    if order < 3:
+        raise BasisError(f"order must be >= 3, got {order}")
+    if n_basis < order:
+        raise BasisError(
+            f"need at least as many functions as the order ({n_basis} < {order})")
+    breakpoints = np.linspace(x_lo, x_hi, n_basis - order + 2)
+    knots = np.concatenate([np.full(order - 1, x_lo), breakpoints,
+                            np.full(order - 1, x_hi)])
+    return breakpoints, knots
+
+
+def _knot_spacing(knots: np.ndarray, order: int) -> float:
+    """(x_hi - x_lo) / (number of knot intervals) of a clamped knot vector."""
+    return float((knots[-1] - knots[0]) / (len(knots) - 2 * order + 1))
+
+
+def _smallest_support(knots: np.ndarray, order: int) -> float:
+    """Length of the shortest support among the splines of a knot vector."""
+    return float(min(knots[i + order] - knots[i]
+                     for i in range(len(knots) - order)))
 
 
 def make_basis(x_lo: float, x_hi: float, n_basis: int,
@@ -217,19 +229,8 @@ def make_basis(x_lo: float, x_hi: float, n_basis: int,
     Knot spacing is (x_hi - x_lo)/(n_basis - order + 1); boundary knots
     are repeated ``order`` times.
     """
-    if not (np.isfinite(x_lo) and np.isfinite(x_hi)) or x_lo >= x_hi:
-        raise BasisError(f"degenerate interval [{x_lo}, {x_hi}]")
-    if order < 3:
-        raise BasisError(f"order must be >= 3, got {order}")
-    if n_basis < order:
-        raise BasisError(
-            f"need at least as many functions as the order ({n_basis} < {order})")
-
-    n_intervals = n_basis - order + 1
-    breakpoints = np.linspace(x_lo, x_hi, n_intervals + 1)
-    knots = np.concatenate([np.full(order - 1, x_lo), breakpoints,
-                            np.full(order - 1, x_hi)])
-
+    breakpoints, knots = _knot_vector(x_lo, x_hi, n_basis, order)
+    n_intervals = len(breakpoints) - 1
     raw = _build_coefficient_table(knots, breakpoints, order)
 
     # unit L2 norm via Gauss-Legendre, exact for the squared splines
@@ -247,10 +248,3 @@ def make_basis(x_lo: float, x_hi: float, n_basis: int,
                        norm_factors=norm_factors, breakpoints=breakpoints,
                        _tables=(c0, _differentiate(c0)))
 
-
-def gram_matrix(basis: SplineBasis) -> np.ndarray:
-    """Matrix of pairwise L2 inner products, by exact quadrature."""
-    nodes, weights = basis.quadrature_nodes()
-    vals = basis.eval(nodes)
-    g = vals.T @ (weights[:, None] * vals)
-    return 0.5 * (g + g.T)

@@ -8,7 +8,7 @@ error-vs-sample-size sweep).  Input is CSV with header ``subject,t,y``
 CSV table, validated by docs/output_schema.json.
 
 Exit codes: 0 success, 1 computation failure (every subject failing is
-one), 2 usage or input error, out-of-range numeric options included.
+one), 2 usage or input error, such as a value FitConfig or SimSpec rejects.
 """
 
 from __future__ import annotations
@@ -141,34 +141,23 @@ def _parse_m_candidates(text: str) -> tuple:
         values = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise InputError(f"bad dimension list {text!r}")
-    if not values:
-        raise InputError("empty dimension list")
     return values
 
 
-def _check_options(args) -> None:
-    """Reject out-of-range numeric options shared by the subcommands."""
-    if args.delta is not None and not 0.0 < args.delta < 0.5:
-        raise InputError("--delta must lie in (0, 1/2)")
-    if not args.h > 0.0:
-        raise InputError("--h must be positive")
-    if args.order < 3:
-        raise InputError("--order must be at least 3")
-    if getattr(args, "replicates", 1) < 1:
-        raise InputError("--replicates must be at least 1")
-    if not getattr(args, "sigma", 0.0) >= 0.0:
-        raise InputError("--sigma must be nonnegative")
-    if getattr(args, "n_min", 1) < 1:
-        raise InputError("--n-min must be at least 1")
+def _build(cls, **options):
+    """``cls(**options)``, with the ValueError of a rejected value raised
+    as an InputError."""
+    try:
+        return cls(**options)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _fit_config(args, default_candidates=(4, 5, 6, 7)) -> FitConfig:
     cands = _parse_m_candidates(args.M_candidates) \
         if args.M_candidates else default_candidates
-    if max(cands) < args.order:
-        raise InputError("no --M-candidates entry is at least --order")
-    return FitConfig(delta=args.delta, candidate_Ms=cands, order=args.order,
-                     h=args.h)
+    return _build(FitConfig, delta=args.delta, candidate_Ms=cands,
+                  order=args.order, h=args.h)
 
 
 def _fit_subjects(args, method: str, record_of, status_of) -> int:
@@ -214,15 +203,14 @@ def cmd_fit(args) -> int:
 
 def cmd_two_stage(args) -> int:
     n_basis = 6 if args.M is None else args.M
+    config = _build(FitConfig, delta=args.delta, candidate_Ms=(n_basis,),
+                    order=args.order)
     if args.M is None:
         print("warning: --M not given, defaulting to M=6", file=sys.stderr)
-    if n_basis < args.order:
-        raise InputError("--M must be at least --order")
-    config = FitConfig(delta=args.delta)
 
     def record(subject, data, time_map):
         sample = Sample(data, config)
-        basis = margin_basis(*sample.endpoints, n_basis, args.order, data.n)
+        basis = margin_basis(*sample.endpoints, n_basis, config.order, data.n)
         beta = two_stage_fit(sample.fit_data, basis, sample.delta,
                              sample.presmoothed())
         xs = np.linspace(*sample.endpoints, PREDICTION_GRID)
@@ -242,10 +230,8 @@ def cmd_two_stage(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n_min > args.n_max:
-        raise InputError("--n-min exceeds --n-max")
-    spec = SimSpec(n_range=(args.n_min, args.n_max), sigma=args.sigma,
-                   replicates=args.replicates, rng_seed=args.seed)
+    spec = _build(SimSpec, n_range=(args.n_min, args.n_max), sigma=args.sigma,
+                  replicates=args.replicates, rng_seed=args.seed)
     config = _fit_config(args, default_candidates=(3, 4, 5))
     reports, summary = run_study(spec, config)
     payload = {"version": SCHEMA_VERSION, "method": "simulate",
@@ -265,14 +251,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    # n_range only bounds the doubling sizes; rate_sweep fits at each one
+    spec = _build(SimSpec, n_range=(args.n_min, args.n_max), sigma=args.sigma,
+                  replicates=args.replicates, rng_seed=args.seed)
+    fixed = args.order if args.fixed_M is None else args.fixed_M
+    config = _build(FitConfig, delta=args.delta, candidate_Ms=(fixed,),
+                    order=args.order, h=args.h)
     n_list = [args.n_min]
     while 2 * n_list[-1] <= args.n_max:
         n_list.append(2 * n_list[-1])
     if len(n_list) < 4:
         raise InputError("need at least 4 doubling sample sizes between "
                          "--n-min and --n-max")
-    spec = SimSpec(sigma=args.sigma, rng_seed=args.seed)
-    out = rate_sweep(spec, n_list, replicates=args.replicates,
+    out = rate_sweep(spec, n_list, replicates=spec.replicates, config=config,
                      fixed_M=args.fixed_M)
     payload = {"version": SCHEMA_VERSION, "method": "rates",
                "slope": out["slope"], "slope_se": out["slope_se"],
@@ -284,7 +275,7 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _add_common(p, with_input: bool):
+def _add_common(p, with_input: bool, with_h: bool = True):
     if with_input:
         p.add_argument("input", help="long CSV with header subject,t,y")
     p.add_argument("--out", required=True,
@@ -294,8 +285,9 @@ def _add_common(p, with_input: bool):
     p.add_argument("--delta", type=float, default=None,
                    help="trimming level; default puts ~5%% of data per tail")
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--h", type=float, default=1e-3,
-                   help="integrator step size")
+    if with_h:
+        p.add_argument("--h", type=float, default=1e-3,
+                       help="integrator step size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,20 +296,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate the gradient function of a monotone "
                     "trajectory from noisy observations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: two-stage would read "--h" as "--help"
+    strict = {"allow_abbrev": False}
 
-    p = sub.add_parser("fit", help="fit each subject in a CSV")
+    p = sub.add_parser("fit", help="fit each subject in a CSV", **strict)
     _add_common(p, with_input=True)
     p.add_argument("--M-candidates", dest="M_candidates", default=None,
                    help="comma list of basis dimensions (default 4,5,6,7)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("two-stage", help="presmooth-and-regress estimator")
-    _add_common(p, with_input=True)
+    p = sub.add_parser("two-stage", help="presmooth-and-regress estimator",
+                       **strict)
+    _add_common(p, with_input=True, with_h=False)
     p.add_argument("--M", type=int, default=None,
                    help="basis dimension (default 6, with a warning)")
     p.set_defaults(func=cmd_two_stage)
 
-    p = sub.add_parser("simulate", help="replicated benchmark study")
+    p = sub.add_parser("simulate", help="replicated benchmark study", **strict)
     _add_common(p, with_input=False)
     p.add_argument("--M-candidates", dest="M_candidates", default=None,
                    help="comma list of basis dimensions (default 3,4,5)")
@@ -328,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("rates", help="error-vs-n rate sweep")
+    p = sub.add_parser("rates", help="error-vs-n rate sweep", **strict)
     _add_common(p, with_input=False)
     p.add_argument("--replicates", type=int, default=30)
     p.add_argument("--sigma", type=float, default=0.01)
@@ -345,7 +340,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_options(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import SplineBasis, make_basis
+from .basis import (SplineBasis, _knot_spacing, _knot_vector,
+                    _smallest_support, make_basis)
 from .errors import DynfitError
 from .ode import (GradientModel, NonpositiveGradientError,
                   TrajectoryDivergenceError, sensitivities_closed_form,
@@ -81,10 +82,11 @@ class FitConfig:
     """Knobs of the full fitting pipeline.
 
     ``delta`` of None means the smallest trimming level that puts about
-    5% of the observations in each tail.  The basis margin is not
-    configurable; it follows min(M^(-3/2) log n, s_M / log n) with s_M
-    the smallest support length of the candidate basis.  Smoothing and LM
-    are fixed too: see ``estimate_endpoints``, ``presmooth`` and ``lm_fit``.
+    5% of the observations in each tail.  ``order`` >= 3, ``h`` > 0, and
+    candidates below the order are skipped, but one must reach it.  The
+    basis margin follows min(M^(-3/2) log n, s_M / log n) with s_M the
+    smallest support length of the candidate basis.  Smoothing and LM are
+    fixed: see ``estimate_endpoints``, ``presmooth`` and ``lm_fit``.
     """
 
     delta: float | None = None
@@ -95,8 +97,13 @@ class FitConfig:
     def __post_init__(self):
         if self.delta is not None and not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        if len(self.candidate_Ms) == 0:
-            raise ValueError("need at least one candidate dimension")
+        if self.order < 3:
+            raise ValueError(f"order must be at least 3, got {self.order}")
+        if not self.h > 0.0:
+            raise ValueError(f"step size h must be positive, got {self.h}")
+        if not any(M >= self.order for M in self.candidate_Ms):
+            raise ValueError(f"need a candidate dimension of at least the "
+                             f"order {self.order}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,13 @@ def margin_basis(x0_hat: float, x1_hat: float, M: int, order: int,
     """Basis of dimension M on [x0_hat, x1_hat] widened by the margin.
 
     The margin defaults to ``support_margin`` of the unwidened basis and
-    must lie in (0, knot spacing of the unwidened basis).
+    must lie in (0, knot spacing of the unwidened basis); both are read
+    off its knot vector.
     """
-    probe = make_basis(x0_hat, x1_hat, M, order)
-    eta = support_margin(M, n_obs, probe.smallest_support) \
+    _, knots = _knot_vector(x0_hat, x1_hat, M, order)
+    eta = support_margin(M, n_obs, _smallest_support(knots, order)) \
         if margin is None else margin
-    if not 0.0 < eta < probe.knot_spacing:
+    if not 0.0 < eta < _knot_spacing(knots, order):
         raise EstimatorError(
             f"margin {eta:.3g} outside (0, knot spacing) for M={M}")
     return make_basis(x0_hat - eta, x1_hat + eta, M, order)
@@ -190,13 +198,6 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
         return np.inf, None, None, model
     resid = data.values[mask] - traj.state_at(t_in)
     return float(resid @ resid), resid, traj, model
-
-
-def loss(beta, data: Dataset, delta: float, start_value: float,
-         basis: SplineBasis, h: float = 1e-3) -> float:
-    """Trimmed sum of squared residuals; +inf for infeasible beta."""
-    value, _, _, _ = _evaluate(beta, data, delta, start_value, basis, h)
-    return value
 
 
 def _jacobian(model, traj, t_in) -> np.ndarray:
@@ -338,9 +339,9 @@ def presmooth(data: Dataset):
     scores both degrees over the whole grid.
     """
     grid = np.geomspace(min(0.02, 10.0 / max(data.n, 20)), 0.5, 20)
-    bw_level, bw_deriv = cv_bandwidth(data, (1, 2), "gaussian", grid)
-    level, _ = local_poly(data, 1, bw_level, "gaussian", data.times)
-    _, deriv = local_poly(data, 2, bw_deriv, "gaussian", data.times)
+    bw_level, bw_deriv = cv_bandwidth(data, (1, 2), grid)
+    level, _ = local_poly(data, 1, bw_level, data.times)
+    _, deriv = local_poly(data, 2, bw_deriv, data.times)
     return level, deriv
 
 
@@ -488,14 +489,16 @@ def select_M(data: Dataset | Sample,
 
     Endpoints come from the even-indexed half of the sample, the fits
     use the odd-indexed half; a ``Sample`` given as ``data`` supplies
-    delta, from the config it was built with.  Candidates that fail
-    (infeasible margin, singular designs, no descent, ...) are recorded
-    and skipped; ties in the score break toward the smaller dimension.
+    delta, from the config it was built with.  Dimensions below the
+    spline order are not candidates.  Candidates that fail (infeasible
+    margin, singular designs, no descent, ...) are recorded and skipped;
+    ties in the score break toward the smaller dimension.
     """
     sample = data if isinstance(data, Sample) else Sample(data, config)
     fits: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
-    for M in sorted(set(config.candidate_Ms)):
+    candidates = {M for M in config.candidate_Ms if M >= config.order}
+    for M in sorted(candidates):
         try:
             fits[M], _ = _fit(sample, config, M, None)
         except DynfitError as exc:
@@ -507,29 +510,6 @@ def select_M(data: Dataset | Sample,
     return replace(best,
                    candidate_scores={m: f.cv_score for m, f in fits.items()},
                    candidate_failures=failures)
-
-
-def covariance(fit: FitResult, data: Dataset, h: float = 1e-3):
-    """Recompute the coefficient covariance on a given dataset.
-
-    Returns (D, sigma2) as ``_gauss_newton`` does.
-    """
-    return _gauss_newton(*residuals_and_jacobian(
-        fit.model.beta, data, fit.delta, fit.endpoints[0], fit.model.basis,
-        h))
-
-
-def conditioning_diagnostic(fit: FitResult, data: Dataset,
-                            h: float = 1e-3) -> dict:
-    """Smallest eigenvalue of the scaled sensitivity Gram matrix.
-
-    The matrix is (1/n) J'J over the trimmed-in observations at the
-    fitted coefficients; its smallest eigenvalue quantifies how
-    ill-posed the inverse problem is at this basis dimension.
-    """
-    _, J = residuals_and_jacobian(fit.model.beta, data, fit.delta,
-                                  fit.endpoints[0], fit.model.basis, h)
-    return {"lambda_min": _lambda_min(J), "M": fit.chosen_M}
 
 
 def _lambda_min(J: np.ndarray) -> float:

@@ -3,13 +3,8 @@
 The gradient function is a spline-coefficient model extended flat
 outside its basis domain.  Trajectories are integrated with the
 classical 4th-order Runge-Kutta scheme on a uniform grid (last step
-shortened), with cubic-Hermite dense output using g as the slope.
-
-First-order sensitivities (one per coefficient, plus the sensitivity to
-the starting value) and second-order sensitivities satisfy linear ODEs
-driven by the trajectory, integrated by one RK4 stepper over the packed
-state (x, S, A[, H]); the trajectory solver keeps its own scalar loop,
-which reuses g at each node as the next stage and the Hermite slope.
+shortened), with cubic-Hermite dense output using g as the slope; the
+loop reuses g at each node as the next stage and the Hermite slope.
 
 That loop runs on Python floats, not numpy scalars: the step sizes come
 from ``np.diff`` of the grid as a list, and the scalar path of g reads
@@ -20,7 +15,7 @@ states and slopes are the same bit for bit as on numpy scalars
 (``tests/reference.py`` keeps that loop as the reference).
 
 When g > 0 along the path (decided exactly: g is piecewise polynomial)
-both orders also have closed forms in the state variable, from the
+the sensitivities have closed forms in the state variable, from the
 integral curve T(X; beta) = integral of du/g(u) from x_start to X =
 t - t_start: the Jacobian is g(X) times the integral of phi/g^2, and
 the Hessian adds the integral of phi phi^T/g^3.  One engine,
@@ -28,9 +23,9 @@ the Hessian adds the integral of phi phi^T/g^3.  One engine,
 node table over the traversed state range (a few points per piece of
 every knot interval, with a piece halved only where its rule has not
 settled), so its cost does not grow with the number of query times
-beyond one short rule each.  The closed forms are the fast path; the
-RK4 routes are their independent oracle, and the two are required to
-agree.
+beyond one short rule each.  Their independent oracle, RK4 on the
+linear sensitivity equations, lives with the tests
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -88,14 +83,13 @@ class GradientModel:
     """Gradient function g(x) = sum_k beta_k * phi_k(x), extended flat.
 
     Outside [x_lo, x_hi] the function continues with its boundary value,
-    so g' and g'' vanish there and the basis row is clamped to the
+    so g' vanishes there and the basis row is clamped to the
     boundary row (the derivative of the extension w.r.t. beta).
     """
 
     basis: SplineBasis
     beta: np.ndarray
-    # coefficient tables of g and g' per knot interval; g'' is added on
-    # first use
+    # coefficient tables of g and g' per knot interval
     _gpoly: tuple = field(repr=False, default=None)
     # Python floats for scalar calls: (x_lo, x_hi, breakpoints, g's
     # coefficient rows with the highest degree first)
@@ -106,7 +100,7 @@ class GradientModel:
         if beta.shape != (self.basis.n_basis,):
             raise ValueError("coefficient vector does not match the basis")
         object.__setattr__(self, "beta", beta)
-        gp = tuple(np.einsum("jkm,k->jm", self.basis._table(d), beta)
+        gp = tuple(np.einsum("jkm,k->jm", self.basis._tables[d], beta)
                    for d in (0, 1))
         object.__setattr__(self, "_gpoly", gp)
         bas = self.basis
@@ -169,21 +163,14 @@ class GradientModel:
 
     def g_prime(self, x):
         """First derivative; zero outside the domain (flat extension)."""
-        return self._deriv(x, 1)
-
-    def g_second(self, x):
-        """Second derivative; zero outside the domain."""
-        return self._deriv(x, 2)
-
-    def _deriv(self, x, which):
         lo, hi = self.basis.x_lo, self.basis.x_hi
         if np.ndim(x) == 0:
             x = float(x)
             if x < lo or x > hi:
                 return 0.0
-            return self._poly_at(x, self._coeffs(which)[:, ::-1])
+            return self._poly_at(x, self._gpoly[1][:, ::-1])
         x = np.asarray(x, dtype=float)
-        vals = self._poly_vec(x, which)
+        vals = self._poly_vec(x, 1)
         vals[(x < lo) | (x > hi)] = 0.0
         return vals
 
@@ -192,13 +179,7 @@ class GradientModel:
         j = self.basis.interval_index(xc)
         powers = (xc - self.basis.breakpoints[j])[:, None] \
             ** np.arange(self.basis.order)
-        return np.einsum("jm,jm->j", self._coeffs(which)[j], powers)
-
-    def _coeffs(self, which: int) -> np.ndarray:
-        if which == len(self._gpoly):
-            object.__setattr__(self, "_gpoly", self._gpoly + (np.einsum(
-                "jkm,k->jm", self.basis._table(which), self.beta),))
-        return self._gpoly[which]
+        return np.einsum("jm,jm->j", self._gpoly[which][j], powers)
 
     def basis_row(self, x):
         """Basis values clamped to the boundary outside the domain.
@@ -328,48 +309,6 @@ class SensitivityBundle:
     hessian: np.ndarray | None = None
 
 
-def _rk4(rhs, model, y0, grid) -> np.ndarray:
-    """Classical RK4 for y' = rhs(model, y); the state at every grid node."""
-    ys = np.empty((len(grid), len(y0)))
-    ys[0] = y = y0
-    for i, dt in enumerate(np.diff(grid)):
-        k1 = rhs(model, y)
-        k2 = rhs(model, y + 0.5 * dt * k1)
-        k3 = rhs(model, y + 0.5 * dt * k2)
-        k4 = rhs(model, y + dt * k3)
-        y = y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        ys[i + 1] = y
-    return ys
-
-
-def _sensitivity_rhs(model, y):
-    """(x, S, A)' = (g(x), g'(x) S + phi(x), g'(x) A), phi the clamped row."""
-    M = model.n_params
-    x = y[0]
-    gp = model.g_prime(x)
-    return np.concatenate(([model.g(x)], y[1:M + 1] * gp + model.basis_row(x),
-                           [y[M + 1] * gp]))
-
-
-def sensitivities_ode(model, traj: TrajectorySolution,
-                      t_query) -> SensitivityBundle:
-    """First-order sensitivities by RK4 on the augmented linear system.
-
-    The state is re-integrated alongside the sensitivities (sharing all
-    gradient evaluations) on the trajectory grid refined with the query
-    times, so the bundle is read off at exact grid nodes.
-    """
-    t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    if t_query.min() < traj.t_start - 1e-12 or t_query.max() > traj.t_end + 1e-12:
-        raise ValueError("query time outside the solved window")
-    M = model.n_params
-    grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
-    y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0]))
-    ys = _rk4(_sensitivity_rhs, model, y0, grid)[grid.searchsorted(t_query)]
-    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
-                             initial_sensitivity=ys[:, M + 1])
-
-
 def _settled_table(integral, edges):
     """Pieces of the closed-form node table and their integrals.
 
@@ -470,30 +409,23 @@ def _second_order_columns(phi, g):
     return np.hstack([phi / g[:, None] ** 2, outer / g[:, None] ** 3])
 
 
-def hessian_sensitivities(model, traj: TrajectorySolution, t_query,
-                          method: str = "ode") -> SensitivityBundle:
-    """Second-order sensitivities, by augmented RK4 or in closed form.
+def hessian_sensitivities(model, traj: TrajectorySolution,
+                          t_query) -> SensitivityBundle:
+    """Second-order sensitivities in closed form.
 
-    ``method="quadrature"`` differentiates the integral curve
-    T(X; beta) = integral of du/g from x_start to X = t - t_start twice:
+    Differentiates the integral curve T(X; beta) = integral of du/g from
+    x_start to X = t - t_start twice:
 
         d2X/dbeta_r dbeta_s = g'(X) g(X) I_r I_s + phi_r(X) I_s
                               + phi_s(X) I_r - 2 g(X) K_rs,
 
     with I = integral of phi/g^2 and K = integral of phi phi^T/g^3 from
     x_start to X, both from the node table of ``_state_integrals``, so it
-    needs g > 0 on the traversed range.  ``method="ode"`` integrates the
-    linear matrix ODE of the second-order sensitivities with zero initial
-    conditions alongside the state by RK4 on the trajectory grid; it is
-    the independent oracle for the closed form.  Both give a symmetric
-    (n_query, M, M) array; they are used for curvature diagnostics, not
-    on the optimizer hot path.
+    needs g > 0 on the traversed range.  The Hessian is a symmetric
+    (n_query, M, M) array, for curvature diagnostics rather than the
+    optimizer.
     """
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    if method == "ode":
-        return _hessian_ode(model, traj, t_query)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
     M = model.n_params
     xq = np.atleast_1d(traj.state_at(t_query))
     both = _state_integrals(model, traj.x_start, xq, _second_order_columns)
@@ -506,32 +438,3 @@ def hessian_sensitivities(model, traj: TrajectorySolution, t_query,
     return SensitivityBundle(t_query=t_query, jacobian=g_q[:, None] * I,
                              initial_sensitivity=g_q / model.g(traj.x_start),
                              hessian=H + H.transpose(0, 2, 1))
-
-
-def _basis_prime_row(model, x):
-    """Derivative of the basis row; zero under the flat extension."""
-    if model.basis.x_lo <= x <= model.basis.x_hi:
-        return model.basis.eval(x, 1)
-    return np.zeros(model.n_params)
-
-
-def _hessian_rhs(model, y):
-    """(x, S, A, H)' with H' = g' H + S phi'^T + phi' S^T + g'' S S^T."""
-    M = model.n_params
-    x, S, H = y[0], y[1:M + 1], y[M + 2:].reshape(M, M)
-    cross = np.outer(S, _basis_prime_row(model, x))
-    dH = (H * model.g_prime(x) + cross + cross.T
-          + model.g_second(x) * np.outer(S, S))
-    return np.concatenate((_sensitivity_rhs(model, y[:M + 2]), dH.ravel()))
-
-
-def _hessian_ode(model, traj, t_query):
-    M = model.n_params
-    grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
-    y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0],
-                         np.zeros(M * M)))
-    ys = _rk4(_hessian_rhs, model, y0, grid)[grid.searchsorted(t_query)]
-    H = ys[:, M + 2:].reshape(-1, M, M)
-    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
-                             initial_sensitivity=ys[:, M + 1],
-                             hessian=0.5 * (H + H.transpose(0, 2, 1)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import _leggauss, make_basis
+from .basis import _knot_vector, _leggauss, _smallest_support, make_basis
 from .errors import DynfitError
 from .estimator import (EstimatorError, FitConfig, Sample, _fit, _lambda_min,
                         fit_at_dimension, select_M, support_margin,
@@ -55,8 +55,14 @@ class SimSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_range[0] > self.n_range[1]:
-            raise ValueError("empty sample-size range")
+        if not 1 <= self.n_range[0] <= self.n_range[1]:
+            raise ValueError(f"sample-size range {self.n_range} is empty or "
+                             f"starts below 1")
+        if not self.sigma >= 0.0:
+            raise ValueError(f"noise sd must be nonnegative, got {self.sigma}")
+        if self.replicates < 1:
+            raise ValueError(f"need at least one replicate, got "
+                             f"{self.replicates}")
         if not self.true_model.is_positive:
             raise ValueError("true gradient must be positive on its domain")
 
@@ -207,14 +213,15 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
     number of basis functions varies, then reports lambda_min of
     (1/n) J'J per dimension and the shrink factor per doubling.  The
     endpoints and the presmoothing are computed once for all dimensions,
-    and J is the one each fit ends with, as ``conditioning_diagnostic``
-    would recompute it.
+    and J is the one each fit ends with, as ``residuals_and_jacobian``
+    would recompute it at the fitted coefficients.
     """
     config = config if config is not None else FitConfig()
     data = generate_dataset(replace(spec, sigma=0.0, n_range=(n, n)), 0)
     sample = Sample(data, config)
-    ref = make_basis(*sample.endpoints, max(dims), config.order)
-    margin = support_margin(max(dims), n, ref.smallest_support)
+    _, knots = _knot_vector(*sample.endpoints, max(dims), config.order)
+    margin = support_margin(max(dims), n,
+                            _smallest_support(knots, config.order))
     lam = {M: _lambda_min(_fit(sample, config, M, margin)[1])
            for M in sorted(dims)}
     factors = {f"{a}->{2 * a}": lam[a] / lam[2 * a]

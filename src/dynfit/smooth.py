@@ -9,16 +9,17 @@ local fit, never a finite difference of the level fit.
 Endpoint estimation runs on the even-indexed half of the sample so that
 the start value is independent of the data used by the main fit.
 
-Each local fit is solved from weighted moments of the scaled time
-offsets: the normal matrix is the Hankel matrix of sum w z^k and the
-right-hand side holds sum w z^m y.  The moments are accumulated over
-blocks of queries, so the work is O(queries * n * degree) and the
-memory O(block * n), with no per-query design matrix.  Bandwidth
-cross-validation takes the moments of every grid value and every
-degree it scores from one pass over the query blocks: the offsets are
-formed once per block, and a degree's moments are the first terms of
-the highest degree's running product, so each score is bit for bit the
-one a separate pass at that bandwidth and degree would give.
+Every fit weights the observations with the Gaussian kernel, and is
+solved from weighted moments of the scaled time offsets: the normal
+matrix is the Hankel matrix of sum w z^k and the right-hand side holds
+sum w z^m y.  The moments are accumulated over blocks of queries, so
+the work is O(queries * n * degree) and the memory O(block * n), with
+no per-query design matrix.  Bandwidth cross-validation takes the
+moments of every grid value and every degree it scores from one pass
+over the query blocks: the offsets are formed once per block, and a
+degree's moments are the first terms of the highest degree's running
+product, so each score is bit for bit the one a separate pass at that
+bandwidth and degree would give.
 """
 
 from __future__ import annotations
@@ -92,22 +93,15 @@ _BLOCK = 128  # queries per block of the moment sums in _local_moments
 _CV_MAX_QUERIES = 400
 
 
-def _kernel_weights(u: np.ndarray, kernel: str, out=None) -> np.ndarray:
-    """Kernel weights of the scaled offsets ``u``, written into ``out``
-    when it is given."""
-    if kernel == "gaussian":
-        w = np.multiply(u, u, out=out)
-        w *= -0.5
-        return np.exp(w, out=w)
-    if kernel == "epanechnikov":
-        w = np.multiply(u, u, out=out)
-        np.subtract(1.0, w, out=w)
-        w *= 0.75
-        return np.maximum(0.0, w, out=w)
-    raise ValueError(f"unknown kernel {kernel!r}")
+def _kernel_weights(u: np.ndarray, out=None) -> np.ndarray:
+    """Gaussian kernel weights exp(-u^2/2) of the scaled offsets ``u``,
+    written into ``out`` when it is given."""
+    w = np.multiply(u, u, out=out)
+    w *= -0.5
+    return np.exp(w, out=w)
 
 
-def _local_moments(times, values, t_query, degree, bandwidths, kernel):
+def _local_moments(times, values, t_query, degree, bandwidths):
     """Weighted moments of the local fits, per bandwidth and query.
 
     With z = (t_i - q)/h and kernel weights w_i, the normal matrix of
@@ -120,7 +114,8 @@ def _local_moments(times, values, t_query, degree, bandwidths, kernel):
     terms of the same product, so ``degree`` is the highest one wanted.
     Memory stays O(_BLOCK * n) whatever the number of queries.  Returns
     (active, S, T) of shapes (b, q), (b, q, 2d+1) and (b, q, d+1), with
-    ``active`` the number of observations with positive weight.
+    ``active`` the number of observations whose weight has not underflowed
+    to 0 (|z| above about 38.6).
     """
     n_mom, n_rhs = 2 * degree + 1, degree + 1
     shape = (len(bandwidths), len(t_query))
@@ -135,7 +130,7 @@ def _local_moments(times, values, t_query, degree, bandwidths, kernel):
         d = np.subtract(times[None, :], t_query[rows, None], out=offsets[:m])
         for b, bw in enumerate(bandwidths):
             zb = np.divide(d, bw, out=z[:m])
-            w = _kernel_weights(zb, kernel, out=wz[:m])
+            w = _kernel_weights(zb, out=wz[:m])
             active[b, rows] = (w > 0).sum(axis=1)
             for k in range(n_mom):
                 if k:
@@ -153,7 +148,7 @@ def _normal_equations(S, T, degree):
     return S[:, np.add.outer(k, k)], T[:, :degree + 1]
 
 
-def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
+def local_poly(data: Dataset, degree: int, bandwidth: float,
                t_query) -> tuple[np.ndarray, np.ndarray]:
     """Local polynomial fit; returns (level, derivative) at the queries.
 
@@ -169,7 +164,7 @@ def local_poly(data: Dataset, degree: int, bandwidth: float, kernel: str,
         raise ValueError("bandwidth must be positive")
     t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
     active, S, T = _local_moments(data.times, data.values, t_query, degree,
-                                  (bandwidth,), kernel)
+                                  (bandwidth,))
     A, rhs = _normal_equations(S[0], T[0], degree)
     bad = t_query[active[0] < degree + 1]
     if len(bad):
@@ -215,27 +210,25 @@ def _loo_residuals(y, active, S, T, degree, w0) -> np.ndarray | None:
     return (y - level) / denom
 
 
-def _cv_residuals(data: Dataset, degrees, kernel: str, grid) -> list:
+def _cv_residuals(data: Dataset, degrees, grid) -> list:
     """Leave-one-out residuals of the level fits at the CV queries (every
     k-th observation, at most _CV_MAX_QUERIES of them): one list per
     degree, with one array (None where singular) per grid value."""
     stride = max(1, -(-data.n // _CV_MAX_QUERIES))
     query_idx = np.arange(0, data.n, stride)
     active, S, T = _local_moments(data.times, data.values,
-                                  data.times[query_idx], max(degrees), grid,
-                                  kernel)
+                                  data.times[query_idx], max(degrees), grid)
     y = data.values[query_idx]
-    w0 = _kernel_weights(np.zeros(1), kernel)[0]
+    w0 = _kernel_weights(np.zeros(1))[0]
     return [[_loo_residuals(y, active[b], S[b], T[b], d, w0)
              for b in range(len(grid))] for d in degrees]
 
 
-def cv_bandwidth(data: Dataset, degree, kernel: str, grid):
-    """Bandwidth from the grid minimizing leave-one-out level error.
+def cv_bandwidth(data: Dataset, degrees: tuple, grid) -> tuple:
+    """Bandwidths from the grid minimizing leave-one-out level error.
 
-    ``degree`` is one degree, for which one bandwidth is returned, or a
-    tuple of degrees, for which a tuple of bandwidths is returned in the
-    same order.  Ties break toward the larger bandwidth.  Raises
+    One bandwidth per degree in ``degrees``, in the same order.  Ties
+    break toward the larger bandwidth.  Raises
     SmoothingError when every grid value yields a singular design for
     some degree.  On large samples the score is evaluated at a
     deterministic thinning of the observations (every k-th point) to
@@ -246,10 +239,8 @@ def cv_bandwidth(data: Dataset, degree, kernel: str, grid):
     grid = np.sort(np.asarray(grid, dtype=float))
     if len(grid) == 0 or grid[0] <= 0:
         raise ValueError("bandwidth grid must be nonempty and positive")
-    single = np.ndim(degree) == 0
-    degrees = (degree,) if single else tuple(degree)
     chosen = []
-    for residuals in _cv_residuals(data, degrees, kernel, grid):
+    for residuals in _cv_residuals(data, degrees, grid):
         best_bw, best_err = None, np.inf
         for bw, resid in zip(grid, residuals):
             if resid is None:
@@ -261,7 +252,7 @@ def cv_bandwidth(data: Dataset, degree, kernel: str, grid):
             raise SmoothingError(
                 "all candidate bandwidths give singular designs")
         chosen.append(best_bw)
-    return chosen[0] if single else tuple(chosen)
+    return tuple(chosen)
 
 
 def choose_delta(times, frac: float = 0.05) -> float:
@@ -315,8 +306,8 @@ def estimate_endpoints(data: Dataset, delta: float) -> tuple[float, float]:
             f"no candidate bandwidth has {need} points within reach of the "
             f"trimmed endpoints")
     try:
-        bw = cv_bandwidth(sub, p, "gaussian", grid)
-        level, _ = local_poly(sub, p, bw, "gaussian", [delta, 1.0 - delta])
+        (bw,) = cv_bandwidth(sub, (p,), grid)
+        level, _ = local_poly(sub, p, bw, [delta, 1.0 - delta])
     except SmoothingError as exc:
         raise InsufficientDataError(
             f"endpoint smoothing impossible: {exc}") from None

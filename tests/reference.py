@@ -1,8 +1,12 @@
 """Independent oracles used by the tests.
 
 Deliberately naive implementations: a textbook pointwise Cox-de Boor
-recursion for B-spline values, and plain central finite differences.
-They share no code with the package so they can serve as cross-checks.
+recursion for B-spline values, plain central finite differences, and a
+Gram matrix by Gauss-Legendre quadrature on every knot interval.
+
+RK4 on the linear sensitivity equations checks the package's closed
+forms: ``sensitivities_ode`` for the first order, ``_hessian_ode`` for
+the second, with g'' from the derivative of the model's g' table.
 
 The numpy-scalar trajectory loop is the other kind of reference: the
 solver as it was before it ran on Python floats, kept word for word so
@@ -14,7 +18,11 @@ one kernel pass per query block served every bandwidth and degree.
 from bisect import bisect_right
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
+from dynfit.basis import _differentiate
+from dynfit.ode import (SensitivityBundle, TrajectoryDivergenceError,
+                        TrajectorySolution, _sorted_unique, solve_trajectory)
 from dynfit.smooth import Dataset, SmoothingError
 
 
@@ -47,34 +55,46 @@ def raw_basis_values(basis, x: float) -> np.ndarray:
                      for i in range(basis.n_basis)])
 
 
+def raw_eval(basis, x, deriv: int = 0) -> np.ndarray:
+    """The package's basis values (or first derivatives) at ``x``, taken
+    back to the unnormalized, partition-of-unity splines."""
+    return basis.eval(x, deriv) / basis.norm_factors
+
+
+def gram_matrix(basis) -> np.ndarray:
+    """Pairwise L2 inner products of the basis functions, by Gauss-Legendre
+    quadrature on every knot interval (exact for products of splines)."""
+    z, w = leggauss(basis.order + 1)
+    bp = basis.breakpoints
+    half = 0.5 * np.diff(bp)[:, None]
+    vals = basis.eval((0.5 * (bp[1:] + bp[:-1])[:, None] + half * z).ravel())
+    g = vals.T @ ((half * w).ravel()[:, None] * vals)
+    return 0.5 * (g + g.T)
+
+
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     return (np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2 * h)
 
 
 def richardson_rk4_endpoint(model, t_start, t_end, x_start, h):
     """Richardson-extrapolated RK4 endpoint (orders h and 2h combined)."""
-    from dynfit.ode import solve_trajectory
-
     fine = solve_trajectory(model, t_start, t_end, x_start, h=h)
     coarse = solve_trajectory(model, t_start, t_end, x_start, h=2 * h)
     xf, xc = fine.x_values[-1], coarse.x_values[-1]
     return xf + (xf - xc) / 15.0
 
 
-def local_poly_lstsq(times, values, t_query, degree, bandwidth, kernel):
+def local_poly_lstsq(times, values, t_query, degree, bandwidth):
     """(level, derivative) of the local polynomial fit, one query at a time.
 
-    Solves each kernel-weighted least squares problem directly, by
-    ``lstsq`` on the Vandermonde matrix of the scaled offsets with rows
+    Solves each Gaussian-kernel weighted least squares problem directly,
+    by ``lstsq`` on the Vandermonde matrix of the scaled offsets with rows
     scaled by the square root of the weights.
     """
     level, deriv = [], []
     for q in np.atleast_1d(t_query):
         z = (np.asarray(times) - q) / bandwidth
-        if kernel == "gaussian":
-            w = np.exp(-0.5 * z * z)
-        else:
-            w = np.maximum(0.0, 0.75 * (1.0 - z * z))
+        w = np.exp(-0.5 * z * z)
         root = np.sqrt(w)
         vander = np.vander(z, degree + 1, increasing=True)
         coef = np.linalg.lstsq(root[:, None] * vander, root * values,
@@ -131,8 +151,6 @@ def numpy_scalar_solve_trajectory(model, t_start: float, t_end: float,
                                   extra_times=None):
     """Classical RK4 on numpy scalars: the solver loop before it moved to
     Python floats."""
-    from dynfit.ode import TrajectoryDivergenceError, TrajectorySolution
-
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
     if h <= 0:
@@ -170,18 +188,10 @@ def numpy_scalar_solve_trajectory(model, t_start: float, t_end: float,
 _BLOCK = 128  # queries per block of the moment sums in _local_systems
 
 
-def _kernel_weights(u: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "gaussian":
-        return np.exp(-0.5 * u ** 2)
-    if kernel == "epanechnikov":
-        return np.maximum(0.0, 0.75 * (1.0 - u ** 2))
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def _local_systems(times, values, t_query, degree, bandwidth, kernel):
+def _local_systems(times, values, t_query, degree, bandwidth):
     """Weighted normal equations of the local fits, one per query.
 
-    With z = (t_i - q)/bandwidth and kernel weights w_i, the normal
+    With z = (t_i - q)/bandwidth and Gaussian kernel weights w_i, the normal
     matrix at query q is the Hankel matrix of the weighted moments
     S_k = sum_i w_i z_i^k (k = 0..2d), and the right-hand side holds
     T_m = sum_i w_i z_i^m y_i (m = 0..d).  Both come from one running
@@ -197,7 +207,7 @@ def _local_systems(times, values, t_query, degree, bandwidth, kernel):
     for start in range(0, len(t_query), _BLOCK):
         rows = slice(start, start + _BLOCK)
         z = (times[None, :] - t_query[rows, None]) / bandwidth
-        wz = _kernel_weights(z, kernel)
+        wz = np.exp(-0.5 * z ** 2)
         active[rows] = (wz > 0).sum(axis=1)
         for k in range(n_mom):
             if k:
@@ -210,7 +220,7 @@ def _local_systems(times, values, t_query, degree, bandwidth, kernel):
 
 
 def _loo_errors(data: Dataset, degree: int, bandwidth: float,
-                kernel: str, query_idx=None) -> np.ndarray | None:
+                query_idx=None) -> np.ndarray | None:
     """Exact leave-one-out residuals of the level fit at the data times.
 
     Uses the linear-smoother identity (y - yhat)/(1 - l_jj), where l_jj
@@ -222,8 +232,7 @@ def _loo_errors(data: Dataset, degree: int, bandwidth: float,
     if query_idx is None:
         query_idx = np.arange(data.n)
     active, A, rhs = _local_systems(data.times, data.values,
-                                    data.times[query_idx], degree, bandwidth,
-                                    kernel)
+                                    data.times[query_idx], degree, bandwidth)
     if (active < degree + 1).any():
         return None
     try:
@@ -236,8 +245,7 @@ def _loo_errors(data: Dataset, degree: int, bandwidth: float,
     except np.linalg.LinAlgError:
         return None
     level = coef[:, 0]
-    l_jj = _kernel_weights(np.zeros(1), kernel)[0] * Ainv_e1[:, 0]
-    denom = 1.0 - l_jj
+    denom = 1.0 - Ainv_e1[:, 0]  # the kernel weight at offset 0 is 1
     if (denom <= 1e-12).any():
         return None
     return (data.values[query_idx] - level) / denom
@@ -246,8 +254,7 @@ def _loo_errors(data: Dataset, degree: int, bandwidth: float,
 _CV_MAX_QUERIES = 400
 
 
-def cv_bandwidth(data: Dataset, degree: int, kernel: str,
-                 grid) -> float:
+def cv_bandwidth(data: Dataset, degree: int, grid) -> float:
     """Bandwidth from the grid minimizing leave-one-out level error.
 
     Ties break toward the larger bandwidth.  Raises SmoothingError when
@@ -267,7 +274,7 @@ def cv_bandwidth(data: Dataset, degree: int, kernel: str,
         query_idx = None
     best_bw, best_err = None, np.inf
     for bw in grid:
-        resid = _loo_errors(data, degree, bw, kernel, query_idx)
+        resid = _loo_errors(data, degree, bw, query_idx)
         if resid is None:
             continue
         err = float(resid @ resid)
@@ -276,3 +283,81 @@ def cv_bandwidth(data: Dataset, degree: int, kernel: str,
     if best_bw is None:
         raise SmoothingError("all candidate bandwidths give singular designs")
     return best_bw
+
+
+def _rk4(rhs, model, y0, grid) -> np.ndarray:
+    """Classical RK4 for y' = rhs(model, y); the state at every grid node."""
+    ys = np.empty((len(grid), len(y0)))
+    ys[0] = y = y0
+    for i, dt in enumerate(np.diff(grid)):
+        k1 = rhs(model, y)
+        k2 = rhs(model, y + 0.5 * dt * k1)
+        k3 = rhs(model, y + 0.5 * dt * k2)
+        k4 = rhs(model, y + dt * k3)
+        y = y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        ys[i + 1] = y
+    return ys
+
+
+def _sensitivity_rhs(model, y):
+    """(x, S, A)' = (g(x), g'(x) S + phi(x), g'(x) A), phi the clamped row."""
+    M = model.n_params
+    x = y[0]
+    gp = model.g_prime(x)
+    return np.concatenate(([model.g(x)], y[1:M + 1] * gp + model.basis_row(x),
+                           [y[M + 1] * gp]))
+
+
+def sensitivities_ode(model, traj: TrajectorySolution,
+                      t_query) -> SensitivityBundle:
+    """First-order sensitivities by RK4 on the augmented linear system.
+
+    The state is re-integrated alongside the sensitivities (sharing all
+    gradient evaluations) on the trajectory grid refined with the query
+    times, so the bundle is read off at exact grid nodes.
+    """
+    t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
+    if t_query.min() < traj.t_start - 1e-12 or t_query.max() > traj.t_end + 1e-12:
+        raise ValueError("query time outside the solved window")
+    M = model.n_params
+    grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
+    y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0]))
+    ys = _rk4(_sensitivity_rhs, model, y0, grid)[grid.searchsorted(t_query)]
+    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
+                             initial_sensitivity=ys[:, M + 1])
+
+
+def _basis_prime_row(model, x):
+    """Derivative of the basis row; zero under the flat extension."""
+    if model.basis.x_lo <= x <= model.basis.x_hi:
+        return model.basis.eval(x, 1)
+    return np.zeros(model.n_params)
+
+
+def _hessian_rhs(model, y, g2_rows):
+    """(x, S, A, H)' with H' = g' H + S phi'^T + phi' S^T + g'' S S^T.
+
+    ``g2_rows`` holds the coefficients of g'' per knot interval, highest
+    degree first; g'' is zero outside the domain (flat extension).
+    """
+    M = model.n_params
+    x, S, H = y[0], y[1:M + 1], y[M + 2:].reshape(M, M)
+    inside = model.basis.x_lo <= x <= model.basis.x_hi
+    g2 = model._poly_at(float(x), g2_rows) if inside else 0.0
+    cross = np.outer(S, _basis_prime_row(model, x))
+    dH = (H * model.g_prime(x) + cross + cross.T + g2 * np.outer(S, S))
+    return np.concatenate((_sensitivity_rhs(model, y[:M + 2]), dH.ravel()))
+
+
+def _hessian_ode(model, traj, t_query):
+    M = model.n_params
+    g2_rows = _differentiate(model._gpoly[1])[:, ::-1]
+    grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
+    y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0],
+                         np.zeros(M * M)))
+    ys = _rk4(lambda m, y: _hessian_rhs(m, y, g2_rows), model, y0,
+              grid)[grid.searchsorted(t_query)]
+    H = ys[:, M + 2:].reshape(-1, M, M)
+    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
+                             initial_sensitivity=ys[:, M + 1],
+                             hessian=0.5 * (H + H.transpose(0, 2, 1)))

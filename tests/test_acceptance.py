@@ -11,28 +11,22 @@ import numpy as np
 import pytest
 
 from dynfit import estimator
-from dynfit.basis import gram_matrix, make_basis
-from dynfit.estimator import FitConfig, lm_fit, loss, residuals_and_jacobian
+from dynfit.basis import make_basis
+from dynfit.estimator import FitConfig, lm_fit, residuals_and_jacobian
 from dynfit.ode import (GradientModel, hessian_sensitivities,
-                        sensitivities_closed_form, sensitivities_ode,
-                        solve_trajectory)
+                        sensitivities_closed_form, solve_trajectory)
 from dynfit.sim import (SimSpec, conditioning_sweep, rate_sweep,
                         run_replicate, run_study)
 from dynfit.smooth import Dataset, choose_delta
 from conftest import make_replicate
+from reference import _hessian_ode, gram_matrix, raw_eval, sensitivities_ode
 from test_estimator import (constant_basis, fitting_setup, golden_section,
-                            project_true)
+                            loss, project_true)
+from test_ode import ExpModel
 
 
 def _report(num, detail):
     print(f"\n[criterion {num}] PASS: {detail}")
-
-
-class ExpModel:
-    n_params = 0
-
-    def g(self, x):
-        return x
 
 
 def test_criterion_1_ode_correctness():
@@ -74,9 +68,8 @@ def test_criterion_2_sensitivity_exactness(true_model):
                  np.abs(b_cf.jacobian - fd).max()) / np.abs(fd).max()
     assert gap_fd < 1e-4
 
-    h_ode = hessian_sensitivities(true_model, traj, tq, method="ode")
-    h_quad = hessian_sensitivities(true_model, traj, tq,
-                                   method="quadrature")
+    h_ode = _hessian_ode(true_model, traj, tq)
+    h_quad = hessian_sensitivities(true_model, traj, tq)
     gap_h = np.abs(h_ode.hessian - h_quad.hessian).max() \
         / np.abs(h_ode.hessian).max()
     assert gap_h < 1e-5
@@ -140,7 +133,7 @@ def test_criterion_6_invariant_suites(true_model, true_trajectory):
     for M in (4, 8, 16, 40):
         basis = make_basis(0.0, 1.0, M, 4)
         xs = np.linspace(0, 1, 301)
-        checks.append(np.abs(basis.eval_raw(xs).sum(axis=1) - 1).max() < 1e-12)
+        checks.append(np.abs(raw_eval(basis, xs).sum(axis=1) - 1).max() < 1e-12)
         G = gram_matrix(basis)
         checks.append(np.abs(np.diag(G) - 1).max() < 1e-10)
         if M >= 6:

@@ -9,8 +9,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, simpson
 from scipy.interpolate import BSpline
 
-from dynfit.basis import BasisError, _leggauss, gram_matrix, make_basis
-from reference import central_difference, raw_basis_values
+from dynfit.basis import BasisError, _leggauss, make_basis
+from reference import (central_difference, gram_matrix, raw_basis_values,
+                       raw_eval)
 
 
 def scipy_raw(basis, x, deriv=0):
@@ -56,7 +57,7 @@ def test_matches_textbook_recursion(M, order):
     basis = make_basis(-0.5, 2.0, M, order)
     rng = np.random.default_rng(0)
     xs = rng.uniform(-0.5, 2.0, 40)
-    mine = np.vstack([basis.eval_raw(x) for x in xs])
+    mine = np.vstack([raw_eval(basis, x) for x in xs])
     ref = np.vstack([raw_basis_values(basis, x) for x in xs])
     np.testing.assert_allclose(mine, ref, atol=1e-12)
 
@@ -65,16 +66,15 @@ def test_matches_textbook_recursion(M, order):
 def test_matches_scipy_evaluation(M, order):
     basis = make_basis(0.0, 1.0, M, order)
     xs = np.random.default_rng(1).uniform(0, 1, 100)
-    np.testing.assert_allclose(basis.eval_raw(xs), scipy_raw(basis, xs),
+    np.testing.assert_allclose(raw_eval(basis, xs), scipy_raw(basis, xs),
                                atol=1e-12)
-    for deriv in (1, 2):
-        np.testing.assert_allclose(basis.eval_raw(xs, deriv),
-                                   scipy_raw(basis, xs, deriv), atol=1e-9)
+    np.testing.assert_allclose(raw_eval(basis, xs, 1),
+                               scipy_raw(basis, xs, 1), atol=1e-9)
 
 
 def test_outside_domain_is_zero():
     basis = make_basis(0.0, 1.0, 6, order=4)
-    for deriv in (0, 1, 2):
+    for deriv in (0, 1):
         assert np.all(basis.eval(-0.5, deriv) == 0.0)
         assert np.all(basis.eval(1.5, deriv) == 0.0)
     # the right boundary itself is inside
@@ -84,14 +84,14 @@ def test_outside_domain_is_zero():
 def test_deriv_argument_validated():
     basis = make_basis(0.0, 1.0, 6, order=4)
     with pytest.raises(ValueError):
-        basis.eval(0.5, deriv=3)
+        basis.eval(0.5, deriv=2)
 
 
 def test_partition_of_unity():
     for M in (4, 6, 11, 23):
         basis = make_basis(0.2, 0.9, M, 4)
         xs = np.linspace(0.2, 0.9, 257)
-        sums = basis.eval_raw(xs).sum(axis=1)
+        sums = raw_eval(basis, xs).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
@@ -109,10 +109,8 @@ def test_derivative_consistency_with_finite_differences():
     for M in (5, 9, 17):
         basis = make_basis(0.0, 1.0, M, 4)
         xs = rng.uniform(0.05, 0.95, 100)
-        for j in (1, 2):
-            fd = central_difference(lambda u: basis.eval(u, j - 1), xs, 1e-6)
-            exact = basis.eval(xs, j)
-            assert np.abs(exact - fd).max() < 1e-4 * M ** j
+        fd = central_difference(basis.eval, xs, 1e-6)
+        assert np.abs(basis.eval(xs, 1) - fd).max() < 1e-4 * M
 
 
 def test_gram_matrix_properties():
@@ -176,8 +174,9 @@ def test_dynfit_does_not_import_numpy_polynomial_or_ma():
         "spec = SimSpec(rng_seed=0)\n"
         "dynfit.select_M(generate_dataset(spec, 0),"
         " dynfit.FitConfig(candidate_Ms=(4,)))\n"
-        "print('numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)\n")
+        "print(*(name in sys.modules for name in ('numpy.polynomial',"
+        " 'numpy.ma', 'scipy', 'hypothesis', 'jsonschema', 'reference')))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False"] * 6

@@ -6,7 +6,7 @@ import pytest
 from jsonschema import validate
 
 from dynfit.basis import make_basis
-from dynfit.cli import _read_long_csv, _rescale_times, main
+from dynfit.cli import _read_long_csv, _rescale_times, build_parser, main
 from dynfit.estimator import FitConfig, fit_at_dimension, select_M
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.sim import SimSpec, generate_dataset, true_gradient_model
@@ -189,6 +189,61 @@ def test_bad_numeric_option_is_an_input_error(short_csv, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o.json").exists()
     assert not (tmp_path / "o.csv").exists()
+
+
+# A base command line per subcommand, and for each option a value other
+# than the base one.  ``input`` and ``out`` only say where data come from
+# and go to.
+OPTION_CASES = {
+    "fit": (["--M-candidates", "4"], {
+        "--format": "json", "--delta": "0.1", "--order": "3", "--h": "0.01",
+        "--M-candidates": "5"}),
+    "two-stage": (["--M", "5"], {
+        "--format": "json", "--delta": "0.1", "--order": "3", "--M": "6"}),
+    "simulate": (["--replicates", "1", "--M-candidates", "4"], {
+        "--format": "json", "--delta": "0.1", "--order": "3", "--h": "0.01",
+        "--M-candidates": "5", "--replicates": "2", "--sigma": "0.02",
+        "--n-min": "70", "--n-max": "90", "--seed": "1"}),
+    "rates": (["--n-min", "50", "--n-max", "400", "--replicates", "1",
+               "--fixed-M", "5", "--seed", "1"], {
+        "--format": "json", "--delta": "0.1", "--order": "3", "--h": "0.01",
+        "--replicates": "2", "--sigma": "0.02", "--n-min": "45",
+        "--n-max": "800", "--fixed-M": "6", "--seed": "2"}),
+}
+
+
+def run_outputs(command, argv, csv_path, out):
+    """Exit code and the bytes of <out>.json and <out>.csv (None if absent)."""
+    head = [command] + ([csv_path] if command in ("fit", "two-stage") else [])
+    code = main(head + argv + ["--out", str(out)])
+    return code, [p.read_bytes() if p.exists() else None
+                  for p in (out.with_suffix(".json"), out.with_suffix(".csv"))]
+
+
+def test_every_option_has_a_case():
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    for command, parser in sub.choices.items():
+        flags = {a.option_strings[0] for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "out")}
+        assert flags == set(OPTION_CASES[command][1]), command
+    # without abbreviations, "--h" is not read as "--help"
+    with pytest.raises(SystemExit, match="2"):
+        main(["two-stage", "in.csv", "--out", "o", "--h", "0.01"])
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, values) in OPTION_CASES.items()
+    for flag in values])
+def test_every_option_changes_the_output_or_is_rejected(single_csv, tmp_path,
+                                                        command, flag):
+    base, values = OPTION_CASES[command]
+    base_code, base_outputs = run_outputs(command, base, single_csv,
+                                          tmp_path / "b")
+    # the last value given for an option wins
+    code, outputs = run_outputs(command, base + [flag, values[flag]],
+                                single_csv, tmp_path / "o")
+    assert base_code == 0
+    assert code == 2 or outputs != base_outputs
 
 
 @pytest.mark.parametrize("command", [["fit"], ["two-stage", "--M", "6"]])

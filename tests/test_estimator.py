@@ -7,12 +7,12 @@ from dynfit.basis import SplineBasis, make_basis
 from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               FitConfig, InfeasibleCoefficientsError,
                               NoDescentError, Sample, SingularDesignError,
-                              approximate_loo_score, conditioning_diagnostic,
-                              constant_coefficients, covariance,
-                              fit_at_dimension, lm_fit, loss, margin_basis,
+                              approximate_loo_score, constant_coefficients,
+                              fit_at_dimension, lm_fit, margin_basis,
                               presmooth, residuals_and_jacobian, select_M,
                               support_margin, trim_mask, two_stage_fit,
-                              _initial_coefficients)
+                              _evaluate, _gauss_newton,
+                              _initial_coefficients, _lambda_min)
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.smooth import Dataset, SmoothingError, choose_delta
 from conftest import make_replicate
@@ -26,12 +26,17 @@ def constant_basis(lo: float, hi: float) -> SplineBasis:
     """
     length = hi - lo
     c0 = np.array([[[1.0 / np.sqrt(length)]]])
-    zero = np.zeros_like(c0)
     return SplineBasis(order=1, n_basis=1, x_lo=lo, x_hi=hi,
                        knots=np.array([lo, hi]),
                        norm_factors=np.array([1.0 / np.sqrt(length)]),
                        breakpoints=np.array([lo, hi]),
-                       _tables=(c0, zero, zero))
+                       _tables=(c0, np.zeros_like(c0)))
+
+
+def loss(beta, data, delta, start_value, basis, h=1e-3):
+    """Trimmed sum of squared residuals; +inf for infeasible beta."""
+    return _evaluate(beta, data, delta, start_value, basis, h)[0]
+
 
 
 def fitting_setup(true_trajectory, seed=7, n=100, sigma=0.0):
@@ -314,7 +319,9 @@ def test_select_m_reuses_the_last_lm_residuals_and_jacobian(true_trajectory,
     fit = select_M(d, FitConfig(candidate_Ms=(4, 5)))
     assert calls == []
     # the covariance is the one a fresh evaluation at beta_hat gives
-    cov, sigma2 = covariance(fit, d.odd_half())
+    cov, sigma2 = _gauss_newton(*residuals_and_jacobian(
+        fit.model.beta, d.odd_half(), fit.delta, fit.endpoints[0],
+        fit.model.basis))
     assert np.array_equal(cov, fit.covariance) and sigma2 == fit.sigma2_hat
 
 
@@ -418,17 +425,23 @@ def test_select_single_candidate_unconditional(true_trajectory):
 def test_select_noiseless_prefers_true_dimension(true_trajectory):
     d = make_replicate(true_trajectory, seed=11, n=100, sigma=0.0)
     fit = select_M(d, FitConfig(candidate_Ms=(3, 4, 5)))
-    # with cubic order, a 3-function basis is invalid: recorded, skipped
-    assert 3 in fit.candidate_failures
+    # with cubic order, a 3-function basis is not a candidate
+    assert 3 not in fit.candidate_failures
+    assert 3 not in fit.candidate_scores
     assert fit.chosen_M in (4, 5)
     best = min(fit.candidate_scores.items(), key=lambda kv: (kv[1], kv[0]))
     assert fit.chosen_M == best[0]
 
 
-def test_select_all_failed(true_trajectory):
+def failing_presmooth(data):
+    raise SmoothingError("all candidate bandwidths give singular designs")
+
+
+def test_select_all_failed(true_trajectory, monkeypatch):
+    monkeypatch.setattr(estimator, "presmooth", failing_presmooth)
     d = make_replicate(true_trajectory, seed=12, n=80, sigma=0.01)
     with pytest.raises(AllCandidatesFailedError):
-        select_M(d, FitConfig(candidate_Ms=(2, 3)))
+        select_M(d, FitConfig(candidate_Ms=(4, 5)))
 
 
 def test_select_presmooths_once(true_trajectory, monkeypatch):
@@ -455,7 +468,7 @@ def test_select_presmooths_once(true_trajectory, monkeypatch):
     with pytest.raises(AllCandidatesFailedError) as err:
         select_M(d, FitConfig(candidate_Ms=(3, 4, 5)))
     assert calls == [40]
-    assert err.value.failures[3].startswith("BasisError")
+    assert sorted(err.value.failures) == [4, 5]
     assert err.value.failures[4] == err.value.failures[5] == (
         "SmoothingError: all candidate bandwidths give singular designs")
 
@@ -511,7 +524,9 @@ def test_covariance_vanishes_for_perfect_fit(true_model, true_trajectory):
 def test_covariance_and_bands_from_fit(true_trajectory):
     d = make_replicate(true_trajectory, seed=13, n=100, sigma=0.01)
     fit = select_M(d, FitConfig(candidate_Ms=(4,)))
-    D, sigma2 = covariance(fit, d.odd_half())
+    D, sigma2 = _gauss_newton(*residuals_and_jacobian(
+        fit.model.beta, d.odd_half(), fit.delta, fit.endpoints[0],
+        fit.model.basis))
     np.testing.assert_allclose(D, fit.covariance, rtol=1e-8)
     assert sigma2 > 0
     assert np.linalg.eigvalsh(fit.covariance)[0] >= -1e-12
@@ -542,9 +557,9 @@ def test_conditioning_scalar_closed_form():
 def test_conditioning_diagnostic_positive(true_trajectory):
     d = make_replicate(true_trajectory, seed=15, n=90, sigma=0.01)
     fit = select_M(d, FitConfig(candidate_Ms=(4, 5)))
-    diag = conditioning_diagnostic(fit, d.odd_half())
-    assert diag["M"] == fit.chosen_M
-    assert diag["lambda_min"] > 0
+    _, J = residuals_and_jacobian(fit.model.beta, d.odd_half(), fit.delta,
+                                  fit.endpoints[0], fit.model.basis)
+    assert _lambda_min(J) > 0
 
 
 @pytest.mark.slow
@@ -570,7 +585,8 @@ def test_support_margin_formula():
 
 
 def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(delta=0.7)
-    with pytest.raises(ValueError):
-        FitConfig(candidate_Ms=())
+    for options in ({"delta": 0.7}, {"candidate_Ms": ()}, {"order": 2},
+                    {"h": 0.0}, {"h": float("nan")}, {"candidate_Ms": (2, 3)},
+                    {"candidate_Ms": (4, 5), "order": 6}):
+        with pytest.raises(ValueError):
+            FitConfig(**options)

@@ -1,27 +1,22 @@
 import numpy as np
 import pytest
 
-from dynfit.basis import _differentiate, make_basis
+from dynfit.basis import make_basis
 from dynfit.ode import (GradientModel, TrajectoryDivergenceError,
                         NonpositiveGradientError, _real_roots,
-                        hessian_sensitivities,
-                        sensitivities_closed_form, sensitivities_ode,
+                        hessian_sensitivities, sensitivities_closed_form,
                         solve_trajectory)
 from dynfit.sim import true_gradient_model
-from reference import (NumpyScalarGradient, numpy_scalar_solve_trajectory,
-                       richardson_rk4_endpoint)
+from reference import (NumpyScalarGradient, _hessian_ode,
+                       numpy_scalar_solve_trajectory, richardson_rk4_endpoint,
+                       sensitivities_ode)
 
 
 class ExpModel:
     """g(x) = x; trajectory e^t from x(0)=1.  Not spline-backed."""
 
-    n_params = 0
-
     def g(self, x):
         return x
-
-    def g_prime(self, x):
-        return np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
 
 
 def constant_model(level=0.8, lo=0.0, hi=2.0):
@@ -81,7 +76,6 @@ def test_flat_extension_continues_linearly():
     np.testing.assert_allclose(traj.x_values[out], expect[out], atol=1e-12)
     assert model.g(5.0) == pytest.approx(edge)
     assert model.g_prime(5.0) == 0.0
-    assert model.g_second(-3.0) == 0.0
 
 
 def test_divergence_error():
@@ -190,9 +184,8 @@ def test_route_equivalence_on_random_positive_models():
         b2 = sensitivities_closed_form(model, traj, tq)
         scale = max(np.abs(b2.jacobian).max(), 1e-12)
         assert np.abs(b1.jacobian - b2.jacobian).max() / scale < 1e-6
-        h1 = hessian_sensitivities(model, traj, tq[-1:], method="ode")
-        h2 = hessian_sensitivities(model, traj, tq[-1:],
-                                   method="quadrature")
+        h1 = _hessian_ode(model, traj, tq[-1:])
+        h2 = hessian_sensitivities(model, traj, tq[-1:])
         hscale = max(np.abs(h1.hessian).max(), 1e-12)
         assert np.abs(h1.hessian - h2.hessian).max() / hscale < 1e-5
 
@@ -262,8 +255,8 @@ def test_closed_form_hessian_matches_fine_ode_route(cases):
     # the bound, so this checks the closed form itself
     for model, t_end, x0, tq in cases():
         traj = solve_trajectory(model, 0.0, t_end, x0, h=1e-4)
-        ode = hessian_sensitivities(model, traj, tq, method="ode")
-        quad = hessian_sensitivities(model, traj, tq, method="quadrature")
+        ode = _hessian_ode(model, traj, tq)
+        quad = hessian_sensitivities(model, traj, tq)
         scale = np.abs(ode.hessian).max()
         assert np.abs(quad.hessian - ode.hessian).max() / scale < 1e-7
         np.testing.assert_array_equal(
@@ -319,9 +312,8 @@ def test_real_roots_match_numpy_roots():
 def test_hessian_routes_and_symmetry(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.3, 0.6])
-    h_ode = hessian_sensitivities(true_model, traj, tq, method="ode")
-    h_quad = hessian_sensitivities(true_model, traj, tq,
-                                   method="quadrature")
+    h_ode = _hessian_ode(true_model, traj, tq)
+    h_quad = hessian_sensitivities(true_model, traj, tq)
     scale = np.abs(h_ode.hessian).max()
     assert np.abs(h_ode.hessian - h_quad.hessian).max() / scale < 1e-5
     np.testing.assert_allclose(h_ode.hessian,
@@ -332,7 +324,7 @@ def test_hessian_routes_and_symmetry(true_model):
 def test_hessian_zero_at_start_and_constant_model():
     model = constant_model(0.6, lo=0.0, hi=2.0)
     traj = solve_trajectory(model, 0.1, 0.9, 0.2, h=1e-3)
-    bundle = hessian_sensitivities(model, traj, [0.1, 0.7])
+    bundle = _hessian_ode(model, traj, [0.1, 0.7])
     np.testing.assert_allclose(bundle.hessian[0], 0.0, atol=1e-15)
     # constant raw coefficients: g' = 0 and phi' rows vanish in the
     # interior only for the *sum*; the full Hessian is still tiny next
@@ -349,14 +341,14 @@ def test_hessian_exactly_zero_for_scalar_constant_model():
     basis = constant_basis(0.0, 3.0)
     model = GradientModel(basis, np.array([1.1]))
     traj = solve_trajectory(model, 0.1, 0.9, 0.2, h=1e-3)
-    bundle = hessian_sensitivities(model, traj, [0.5, 0.9])
+    bundle = _hessian_ode(model, traj, [0.5, 0.9])
     np.testing.assert_array_equal(bundle.hessian, 0.0)
 
 
 def test_hessian_matches_finite_differences(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.5])
-    bundle = hessian_sensitivities(true_model, traj, tq)
+    bundle = _hessian_ode(true_model, traj, tq)
     eps = 1e-4
     M = true_model.n_params
     fd = np.empty((M, M))
@@ -444,16 +436,3 @@ def test_scalar_gradient_matches_vector_path(true_model):
         np.testing.assert_allclose(scalar, model.g(outside), rtol=1e-14)
         assert scalar == [NumpyScalarGradient(model).g(x) for x in outside]
 
-
-def test_second_derivative_tables_are_built_on_first_use():
-    basis = make_basis(0.0, 2.0, 7)
-    beta = np.linspace(1.0, 2.0, 7) ** 2
-    model = GradientModel(basis, beta)
-    assert len(basis._tables) == 2 and len(model._gpoly) == 2
-    c2 = _differentiate(_differentiate(basis._tables[0]))
-    x = np.linspace(-0.5, 2.5, 41)
-    second = model.g_second(x)
-    assert len(basis._tables) == 3 and len(model._gpoly) == 3
-    assert np.array_equal(basis._tables[2], c2)
-    assert np.array_equal(model._gpoly[2], np.einsum("jkm,k->jm", c2, beta))
-    assert second[0] == 0.0 and np.abs(second[1:-1]).max() > 0.0

@@ -6,8 +6,8 @@ import pytest
 
 from dynfit.basis import make_basis
 from dynfit import estimator, sim
-from dynfit.estimator import (FitConfig, conditioning_diagnostic,
-                              fit_at_dimension, two_stage_fit)
+from dynfit.estimator import (FitConfig, _lambda_min, fit_at_dimension,
+                              residuals_and_jacobian, two_stage_fit)
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.sim import (SimSpec, conditioning_sweep, generate_dataset,
                         integrated_squared_error, rate_sweep, run_replicate,
@@ -110,9 +110,12 @@ def test_ise_quadrature_matches_dense_trapezoid(true_model, true_trajectory):
     assert gl == pytest.approx(trap, rel=1e-6)
 
 
-def test_run_replicate_failure_is_recorded():
+def test_run_replicate_failure_is_recorded(monkeypatch):
+    from test_estimator import failing_presmooth
+
+    monkeypatch.setattr(estimator, "presmooth", failing_presmooth)
     spec = SimSpec(rng_seed=3, replicates=1)
-    rep = run_replicate(spec, 0, FitConfig(candidate_Ms=(2,)))
+    rep = run_replicate(spec, 0, FitConfig(candidate_Ms=(4,)))
     assert rep.chosen_M == -1
     assert rep.status.startswith("failed")
     assert np.isnan(rep.ise_onestep)
@@ -182,8 +185,11 @@ def test_rate_sweep_noiseless_bias_floor_is_flat():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SimSpec(n_range=(100, 60))
+    for options in ({"n_range": (100, 60)}, {"n_range": (0, 100)},
+                    {"sigma": -1.0}, {"sigma": float("nan")},
+                    {"replicates": 0}):
+        with pytest.raises(ValueError):
+            SimSpec(**options)
     basis = make_basis(0.0, 1.0, 5, 4)
     raw = np.array([0.8, 0.8, -1.5, 0.8, 0.8])
     bad = GradientModel(basis, raw / basis.norm_factors)
@@ -230,6 +236,7 @@ def test_conditioning_sweep_prepares_the_sample_once(monkeypatch):
     config = FitConfig()
     for M, lam in out["lambda_min"].items():
         fit = fit_at_dimension(data, config, M, margin=out["margin"])
-        ref = conditioning_diagnostic(fit, data.odd_half(), config.h)
-        assert np.float64(lam).tobytes() == \
-            np.float64(ref["lambda_min"]).tobytes()
+        _, J = residuals_and_jacobian(fit.model.beta, data.odd_half(),
+                                      fit.delta, fit.endpoints[0],
+                                      fit.model.basis, config.h)
+        assert np.float64(lam).tobytes() == np.float64(_lambda_min(J)).tobytes()
