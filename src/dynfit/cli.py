@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import DynfitError
-from .estimator import (FitConfig, Sample, margin_basis, select_M,
+from .estimator import (_STEP, FitConfig, Sample, margin_basis, select_M,
                         two_stage_fit)
 from .ode import GradientModel, solve_trajectory
 from .sim import SimSpec, rate_sweep, run_study
@@ -85,42 +85,33 @@ def _rescale_times(t: np.ndarray):
     return (t - lo) / (hi - lo), {"offset": lo, "scale": hi - lo}
 
 
-def _grid_records(fit, n_points: int = PREDICTION_GRID):
-    xs = np.linspace(*fit.endpoints, n_points)
-    g = fit.model.g(xs)
-    se = fit.pointwise_se(xs)
-    return [{"x": float(x), "g": float(v), "se": float(s)}
-            for x, v, s in zip(xs, g, se)]
-
-
-def _trajectory_records(fit, time_map, h: float,
-                        n_points: int = PREDICTION_GRID):
-    ts = np.linspace(fit.delta, 1.0 - fit.delta, n_points)
+def _trajectory_records(fit, time_map):
+    ts = np.linspace(fit.delta, 1.0 - fit.delta, PREDICTION_GRID)
     traj = solve_trajectory(fit.model, fit.delta, 1.0 - fit.delta,
-                            fit.endpoints[0], h=h)
+                            fit.endpoints[0], h=_STEP)
     xs = traj.state_at(ts)
     t_orig = time_map["offset"] + time_map["scale"] * ts
     return [{"t": float(t), "x": float(x)} for t, x in zip(t_orig, xs)]
 
 
-def _subject_record(subject: str, fit, time_map, h: float) -> dict:
+def _subject_record(subject: str, M: int, model, endpoints, time_map,
+                    se=None, **fields) -> dict:
+    """One subject's record: M, coefficients, knots, domain, time map,
+    ``g_grid`` (g at PREDICTION_GRID points spanning ``endpoints``, with
+    the standard errors ``se(xs)``, or None without ``se``) and the other
+    ``fields``."""
+    xs = np.linspace(*endpoints, PREDICTION_GRID)
+    ses = se(xs).tolist() if se is not None else [None] * len(xs)
     return {
         "subject": subject,
-        "M": int(fit.chosen_M),
-        "beta": [float(b) for b in fit.model.beta],
-        "knots": [float(k) for k in fit.model.basis.knots],
-        "domain": [fit.model.basis.x_lo, fit.model.basis.x_hi],
+        "M": int(M),
+        "beta": [float(b) for b in model.beta],
+        "knots": [float(k) for k in model.basis.knots],
+        "domain": [model.basis.x_lo, model.basis.x_hi],
         "time_map": time_map,
-        "cv_score": None if not np.isfinite(fit.cv_score) else float(fit.cv_score),
-        "sigma2": float(fit.sigma2_hat),
-        "convergence": {
-            "status": fit.convergence.status,
-            "iterations": int(fit.convergence.iterations),
-            "final_lambda": float(fit.convergence.final_lambda),
-            "grad_norm": float(fit.convergence.grad_norm),
-        },
-        "g_grid": _grid_records(fit),
-        "traj_grid": _trajectory_records(fit, time_map, h),
+        "g_grid": [{"x": float(x), "g": float(v), "se": s}
+                   for x, v, s in zip(xs, model.g(xs), ses)],
+        **fields,
     }
 
 
@@ -157,13 +148,14 @@ def _fit_config(args, default_candidates=(4, 5, 6, 7)) -> FitConfig:
     cands = _parse_m_candidates(args.M_candidates) \
         if args.M_candidates else default_candidates
     return _build(FitConfig, delta=args.delta, candidate_Ms=cands,
-                  order=args.order, h=args.h)
+                  order=args.order)
 
 
-def _fit_subjects(args, method: str, record_of, status_of) -> int:
+def _fit_subjects(args, method: str, record_of) -> int:
     """Write ``record_of(subject, data, time_map)`` for every subject, or
     its DynfitError under ``errors``; returns 0, or 1 with a message when
-    every subject failed."""
+    every subject failed.  The CSV status is the LM status, or "ols" for a
+    record without one."""
     series = _read_long_csv(args.input)
     per_subject, errors = [], []
     for subject in sorted(series):
@@ -179,7 +171,8 @@ def _fit_subjects(args, method: str, record_of, status_of) -> int:
                            "error": f"{type(exc).__name__}: {exc}"})
     payload = {"version": SCHEMA_VERSION, "method": method,
                "per_subject": per_subject, "errors": errors}
-    rows = [[r["subject"], r["M"], r["cv_score"], r["sigma2"], status_of(r)]
+    rows = [[r["subject"], r["M"], r["cv_score"], r["sigma2"],
+             r["convergence"]["status"] if r["convergence"] else "ols"]
             for r in per_subject]
     _write_outputs(args.out, payload, rows,
                    ["subject", "M", "cv_score", "sigma2", "status"],
@@ -194,11 +187,21 @@ def cmd_fit(args) -> int:
     config = _fit_config(args)
 
     def record(subject, data, time_map):
-        return _subject_record(subject, select_M(data, config), time_map,
-                               config.h)
+        fit = select_M(data, config)
+        lm = fit.convergence
+        return _subject_record(
+            subject, fit.chosen_M, fit.model, fit.endpoints, time_map,
+            se=fit.pointwise_se,
+            cv_score=float(fit.cv_score) if np.isfinite(fit.cv_score)
+            else None,
+            sigma2=float(fit.sigma2_hat),
+            convergence={"status": lm.status,
+                         "iterations": int(lm.iterations),
+                         "final_lambda": float(lm.final_lambda),
+                         "grad_norm": float(lm.grad_norm)},
+            traj_grid=_trajectory_records(fit, time_map))
 
-    return _fit_subjects(args, "integral_curve", record,
-                         lambda r: r["convergence"]["status"])
+    return _fit_subjects(args, "integral_curve", record)
 
 
 def cmd_two_stage(args) -> int:
@@ -213,20 +216,11 @@ def cmd_two_stage(args) -> int:
         basis = margin_basis(*sample.endpoints, n_basis, config.order, data.n)
         beta = two_stage_fit(sample.fit_data, basis, sample.delta,
                              sample.presmoothed())
-        xs = np.linspace(*sample.endpoints, PREDICTION_GRID)
-        return {
-            "subject": subject, "M": int(n_basis),
-            "beta": [float(b) for b in beta],
-            "knots": [float(k) for k in basis.knots],
-            "domain": [basis.x_lo, basis.x_hi],
-            "time_map": time_map, "cv_score": None, "sigma2": None,
-            "convergence": None,
-            "g_grid": [{"x": float(x), "g": float(v), "se": None}
-                       for x, v in zip(xs, GradientModel(basis, beta).g(xs))],
-            "traj_grid": [],
-        }
+        return _subject_record(subject, n_basis, GradientModel(basis, beta),
+                               sample.endpoints, time_map, cv_score=None,
+                               sigma2=None, convergence=None, traj_grid=[])
 
-    return _fit_subjects(args, "two_stage", record, lambda r: "ols")
+    return _fit_subjects(args, "two_stage", record)
 
 
 def cmd_simulate(args) -> int:
@@ -256,15 +250,14 @@ def cmd_rates(args) -> int:
                   replicates=args.replicates, rng_seed=args.seed)
     fixed = args.order if args.fixed_M is None else args.fixed_M
     config = _build(FitConfig, delta=args.delta, candidate_Ms=(fixed,),
-                    order=args.order, h=args.h)
+                    order=args.order)
     n_list = [args.n_min]
     while 2 * n_list[-1] <= args.n_max:
         n_list.append(2 * n_list[-1])
     if len(n_list) < 4:
         raise InputError("need at least 4 doubling sample sizes between "
                          "--n-min and --n-max")
-    out = rate_sweep(spec, n_list, replicates=spec.replicates, config=config,
-                     fixed_M=args.fixed_M)
+    out = rate_sweep(spec, n_list, config=config, fixed_M=args.fixed_M)
     payload = {"version": SCHEMA_VERSION, "method": "rates",
                "slope": out["slope"], "slope_se": out["slope_se"],
                "per_n": out["per_n"]}
@@ -275,7 +268,7 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _add_common(p, with_input: bool, with_h: bool = True):
+def _add_common(p, with_input: bool):
     if with_input:
         p.add_argument("input", help="long CSV with header subject,t,y")
     p.add_argument("--out", required=True,
@@ -285,9 +278,6 @@ def _add_common(p, with_input: bool, with_h: bool = True):
     p.add_argument("--delta", type=float, default=None,
                    help="trimming level; default puts ~5%% of data per tail")
     p.add_argument("--order", type=int, default=4)
-    if with_h:
-        p.add_argument("--h", type=float, default=1e-3,
-                       help="integrator step size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate the gradient function of a monotone "
                     "trajectory from noisy observations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # no abbreviations: two-stage would read "--h" as "--help"
+    # no abbreviations: "--h" would be read as "--help"
     strict = {"allow_abbrev": False}
 
     p = sub.add_parser("fit", help="fit each subject in a CSV", **strict)
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("two-stage", help="presmooth-and-regress estimator",
                        **strict)
-    _add_common(p, with_input=True, with_h=False)
+    _add_common(p, with_input=True)
     p.add_argument("--M", type=int, default=None,
                    help="basis dimension (default 6, with a warning)")
     p.set_defaults(func=cmd_two_stage)

@@ -76,31 +76,34 @@ class AllCandidatesFailedError(EstimatorError):
 _LAMBDA_INIT, _LAMBDA_UP, _LAMBDA_DOWN, _LAMBDA_MAX = 1e-3, 10.0, 0.1, 1e12
 _MAX_ITER, _GRAD_TOL, _STEP_TOL = 200, 1e-8, 1e-10
 
+# RK4 step of every fitted path, and of the CLI's traj_grid.  On study
+# replicates 0-7 (seed 0), halving it moved the fitted coefficients by at
+# most 2.5e-11 relative, far below the noise.
+_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the full fitting pipeline.
 
     ``delta`` of None means the smallest trimming level that puts about
-    5% of the observations in each tail.  ``order`` >= 3, ``h`` > 0, and
-    candidates below the order are skipped, but one must reach it.  The
-    basis margin follows min(M^(-3/2) log n, s_M / log n) with s_M the
-    smallest support length of the candidate basis.  Smoothing and LM are
-    fixed: see ``estimate_endpoints``, ``presmooth`` and ``lm_fit``.
+    5% of the observations in each tail.  ``order`` >= 3, and candidates
+    below the order are skipped, but one must reach it.  The basis margin
+    follows min(M^(-3/2) log n, s_M / log n) with s_M the smallest support
+    length of the candidate basis.  Smoothing, LM and the RK4 step
+    (``_STEP``) are fixed: see ``estimate_endpoints``, ``presmooth`` and
+    ``lm_fit``.
     """
 
     delta: float | None = None
     candidate_Ms: tuple = (3, 4, 5)
     order: int = 4
-    h: float = 1e-3
 
     def __post_init__(self):
         if self.delta is not None and not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
         if self.order < 3:
             raise ValueError(f"order must be at least 3, got {self.order}")
-        if not self.h > 0.0:
-            raise ValueError(f"step size h must be positive, got {self.h}")
         if not any(M >= self.order for M in self.candidate_Ms):
             raise ValueError(f"need a candidate dimension of at least the "
                              f"order {self.order}")
@@ -175,7 +178,7 @@ def trim_mask(times: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _evaluate(beta, data: Dataset, delta: float, start_value: float,
-              basis: SplineBasis, h: float):
+              basis: SplineBasis):
     """(loss, residuals, trajectory, model); loss is +inf when infeasible.
 
     Infeasible means: the gradient is nonpositive somewhere on the
@@ -190,8 +193,8 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
     t_in = data.times[mask]
     try:
         # the grid hits the kept times exactly
-        traj = solve_trajectory(model, delta, 1.0 - delta, start_value, h=h,
-                                extra_times=t_in)
+        traj = solve_trajectory(model, delta, 1.0 - delta, start_value,
+                                h=_STEP, extra_times=t_in)
     except TrajectoryDivergenceError:
         return np.inf, None, None, model
     if traj.nonpositive_encountered or traj.x_values[-1] > basis.x_hi:
@@ -209,15 +212,14 @@ def _jacobian(model, traj, t_in) -> np.ndarray:
 
 
 def residuals_and_jacobian(beta, data: Dataset, delta: float,
-                           start_value: float, basis: SplineBasis,
-                           h: float = 1e-3):
+                           start_value: float, basis: SplineBasis):
     """Residual vector and its Jacobian d(residual)/d(beta).
 
     Rows cover only the trimmed-in observations; each Jacobian row is
     the negated coefficient sensitivity of the trajectory at that time.
     """
     value, resid, traj, model = _evaluate(beta, data, delta, start_value,
-                                          basis, h)
+                                          basis)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError(
             "gradient not positive (or trajectory diverged) at these beta")
@@ -236,31 +238,30 @@ class _Start:
         self.beta, self.evaluation = beta, evaluation
 
 
-def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
+def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
            basis: SplineBasis):
-    """Levenberg-Marquardt minimization of the trimmed loss.
+    """Levenberg-Marquardt minimization of the loss trimmed at ``delta``.
 
     Solves (J'J + lambda diag(J'J)) step = J'r at each iteration;
     accepted steps shrink lambda, rejected or infeasible ones grow it, by
-    the module's ``_LAMBDA_*`` constants; ``_*_TOL`` end the run.
-    ``init_beta`` may also be a ``_Start``, evaluated with the step size
-    and trimming level that LM uses.  Returns (beta_hat, LMReport,
-    residuals, J): the last two are the residual vector and its Jacobian
-    d(residual)/d(beta) at beta_hat, as ``residuals_and_jacobian`` gives
-    them, from the evaluation LM already made there.  Raises
+    the module's ``_LAMBDA_*`` constants; ``_*_TOL`` end the run.  Paths
+    are solved at the step ``_STEP``.  ``init_beta`` may also be a
+    ``_Start``, evaluated at the same ``delta``.  Returns (beta_hat,
+    LMReport, residuals, J): the last two are the residual vector and its
+    Jacobian d(residual)/d(beta) at beta_hat, as ``residuals_and_jacobian``
+    gives them, from the evaluation LM already made there.  Raises
     InfeasibleCoefficientsError if the start is infeasible, and
     NoDescentError as soon as lambda passes ``_LAMBDA_MAX``, whether or
     not earlier steps were accepted; the error carries the last accepted
     coefficients and the report.
     """
-    delta = _delta_of(config, data)
     if isinstance(init_beta, _Start):
         beta = init_beta.beta.copy()
         value, resid, traj, model = init_beta.evaluation
     else:
         beta = np.asarray(init_beta, dtype=float).copy()
         value, resid, traj, model = _evaluate(
-            beta, data, delta, start_value, basis, config.h)
+            beta, data, delta, start_value, basis)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError("initial coefficients are infeasible")
     t_in = data.times[trim_mask(data.times, delta)]
@@ -285,7 +286,7 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
         if step is not None:
             cand = beta - step
             cand_value, cand_resid, cand_traj, cand_model = _evaluate(
-                cand, data, delta, start_value, basis, config.h)
+                cand, data, delta, start_value, basis)
         cand_J = None
         if step is not None and cand_value < value:
             try:
@@ -317,10 +318,6 @@ def lm_fit(init_beta, data: Dataset, config: FitConfig, start_value: float,
                       grad_norm=float(np.abs(grad).max()), loss_value=value,
                       accepted_losses=tuple(accepted))
     return beta, report, resid, J
-
-
-def _delta_of(config: FitConfig, data: Dataset) -> float:
-    return config.delta if config.delta is not None else choose_delta(data.times)
 
 
 def constant_coefficients(basis: SplineBasis, level: float) -> np.ndarray:
@@ -378,7 +375,7 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
 
 
 def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
-                          h: float, endpoints: tuple, presmoothed):
+                          endpoints: tuple, presmoothed):
     """Two-stage initializer with a constant-model fallback.
 
     ``presmoothed`` is the (level, derivative) pair of ``presmooth(data)``.
@@ -391,7 +388,7 @@ def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
     x0_hat, x1_hat = endpoints
     try:
         beta = two_stage_fit(data, basis, delta, presmoothed)
-        evaluation = _evaluate(beta, data, delta, x0_hat, basis, h)
+        evaluation = _evaluate(beta, data, delta, x0_hat, basis)
         if np.isfinite(evaluation[0]):
             return _Start(beta, evaluation)
     except SingularDesignError:
@@ -437,7 +434,8 @@ class Sample:
         if data.n < 10:
             raise EstimatorError("need at least 10 observations")
         self.n = data.n
-        self.delta = _delta_of(config, data)
+        self.delta = config.delta if config.delta is not None \
+            else choose_delta(data.times)
         self.endpoints = estimate_endpoints(data, self.delta)
         self.fit_data = data.odd_half()
         self._smoothed = None
@@ -460,10 +458,9 @@ def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
     x0_hat, x1_hat = sample.endpoints
     delta, data_fit = sample.delta, sample.fit_data
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
-    init = _initial_coefficients(data_fit, basis, delta, config.h,
-                                 sample.endpoints, sample.presmoothed())
-    beta, report, resid, J = lm_fit(init, data_fit,
-                                    replace(config, delta=delta), x0_hat, basis)
+    init = _initial_coefficients(data_fit, basis, delta, sample.endpoints,
+                                 sample.presmoothed())
+    beta, report, resid, J = lm_fit(init, data_fit, delta, x0_hat, basis)
     cv = approximate_loo_score(resid, J)
     cov, sigma2 = _gauss_newton(resid, J)
     return FitResult(model=GradientModel(basis, beta), chosen_M=M,

@@ -47,6 +47,9 @@ _RTOL = 1e-10
 _MAX_HALVINGS = 12
 _GAUSS_TABLE = _leggauss(_GAUSS_NODES)
 
+# |x| past which a path counts as diverged
+_OVERFLOW = 1e6
+
 
 def _real_roots(coeffs):
     """Real parts of the roots of sum_m coeffs[m] u^m, as ``np.roots``
@@ -250,13 +253,14 @@ def _time_grid(t_start: float, t_end: float, h: float,
 
 
 def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
-                     h: float = 1e-3, overflow_bound: float = 1e6,
-                     extra_times=None) -> TrajectorySolution:
+                     h: float = 1e-3, extra_times=None) -> TrajectorySolution:
     """Integrate x' = g(x) from (t_start, x_start) by classical RK4.
 
-    ``model`` only needs a ``g(x)`` method here, so synthetic non-spline
-    dynamics go through the same interface.  Raises
-    TrajectoryDivergenceError when |x| exceeds ``overflow_bound``;
+    ``h`` is the step, which differs by caller: 1e-3 for the fit
+    (``estimator._STEP``), 1e-4 for the simulated truth.  ``extra_times``
+    in range join the grid.  ``model`` only needs a ``g(x)`` method here, so
+    synthetic non-spline dynamics go through the same interface.  Raises
+    TrajectoryDivergenceError when |x| exceeds 1e6 (``_OVERFLOW``);
     records (without raising) whether a nonpositive gradient value was
     seen at a grid node, since that voids the monotonicity guarantee.
     """
@@ -279,9 +283,9 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
         k3 = g(x + 0.5 * dt * k2)
         k4 = g(x + dt * k3)
         x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not math.isfinite(x) or abs(x) > overflow_bound:
+        if not math.isfinite(x) or abs(x) > _OVERFLOW:
             raise TrajectoryDivergenceError(
-                f"state overflow at t={grid[i]:.6g} (|x| > {overflow_bound:g})")
+                f"state overflow at t={grid[i]:.6g} (|x| > {_OVERFLOW:g})")
         f = g(x)
         xs[i] = x
         fs[i] = f

@@ -31,6 +31,12 @@ TRUE_KNOT_INTERVAL = (0.1, 1.1)
 TRUE_RAW_COEFFICIENTS = (0.1, 1.2, 1.6, 0.4)
 TRUE_X0 = 0.25
 
+_TRUTH_STEP = 1e-4    # RK4 step of the simulated truth
+_ISE_NODES = 12       # Gauss-Legendre nodes per piece of the ISE
+# The rate sweep's dimension rule ceil(_DIMENSION_SCALE * n**(1/(2s+3)))
+# for a gradient of smoothness s = _SMOOTHNESS.
+_DIMENSION_SCALE, _SMOOTHNESS = 2.75, 3
+
 
 def true_gradient_model() -> GradientModel:
     """The benchmark gradient: four cubic B-splines on [0.1, 1.1].
@@ -83,8 +89,9 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def _true_trajectory(spec: SimSpec, h: float = 1e-4):
-    return solve_trajectory(spec.true_model, 0.0, 1.0, spec.x0, h=h)
+def _true_trajectory(spec: SimSpec):
+    return solve_trajectory(spec.true_model, 0.0, 1.0, spec.x0,
+                            h=_TRUTH_STEP)
 
 
 def generate_dataset(spec: SimSpec, replicate_index: int,
@@ -101,8 +108,8 @@ def generate_dataset(spec: SimSpec, replicate_index: int,
 
 
 def integrated_squared_error(g_a, g_b, lo: float, hi: float,
-                             breakpoints=(), n_nodes: int = 12) -> float:
-    """Integral of (g_a - g_b)^2 over [lo, hi] by Gauss-Legendre.
+                             breakpoints=()) -> float:
+    """Integral of (g_a - g_b)^2 over [lo, hi] by 12-point Gauss-Legendre.
 
     Splits at the supplied breakpoints so piecewise-polynomial
     integrands are handled exactly.
@@ -110,7 +117,7 @@ def integrated_squared_error(g_a, g_b, lo: float, hi: float,
     cuts = np.asarray(breakpoints, dtype=float)
     edges = _sorted_unique(np.concatenate(
         [[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]]))
-    z, w = _leggauss(n_nodes)
+    z, w = _leggauss(_ISE_NODES)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -230,28 +237,27 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
             "margin": margin}
 
 
-def rate_sweep(spec: SimSpec, n_list, replicates: int = 30,
-               dimension_scale: float = 2.75, smoothness: int = 3,
-               config: FitConfig | None = None,
+def rate_sweep(spec: SimSpec, n_list, config: FitConfig | None = None,
                fixed_M: int | None = None) -> dict:
     """Log-log slope of mean integrated squared error against n.
 
-    For each sample size, the basis dimension follows
-    ceil(dimension_scale * n**(1/(2*smoothness+3))) (or ``fixed_M``),
-    and the mean one-step error over the replicates is recorded.
-    Returns the OLS slope with its standard error.  Requires four sample
-    sizes or more, a replicate or more and a 70% success rate per n.
+    Fits ``spec.replicates`` datasets at each sample size.  The basis
+    dimension is ``fixed_M``, or else ceil(2.75 n^(1/9)) (the n-rule for
+    a gradient of smoothness 3) but at least the order, and the mean
+    one-step error over the replicates is recorded.  Returns the OLS
+    slope with its standard error.  Requires four sample sizes or more
+    and a 70% success rate per n.
     """
     n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 4 or replicates < 1:
-        raise ValueError("need at least 4 sample sizes and one replicate "
-                         "per size for a slope")
+    if len(n_list) < 4:
+        raise ValueError("need at least 4 sample sizes for a slope")
     config = config if config is not None else FitConfig()
-    exponent = 1.0 / (2 * smoothness + 3)
+    replicates = spec.replicates
+    exponent = 1.0 / (2 * _SMOOTHNESS + 3)
     per_n = []
     for n in n_list:
         M = fixed_M if fixed_M is not None \
-            else max(int(np.ceil(dimension_scale * n ** exponent)),
+            else max(int(np.ceil(_DIMENSION_SCALE * n ** exponent)),
                      config.order)
         spec_n = replace(spec, n_range=(n, n))
         truth = _true_trajectory(spec_n)

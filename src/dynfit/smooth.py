@@ -91,6 +91,7 @@ class Dataset:
 
 _BLOCK = 128  # queries per block of the moment sums in _local_moments
 _CV_MAX_QUERIES = 400
+_TAIL_SHARE = 0.05  # share of the observations in each tail of choose_delta
 
 
 def _kernel_weights(u: np.ndarray, out=None) -> np.ndarray:
@@ -255,17 +256,17 @@ def cv_bandwidth(data: Dataset, degrees: tuple, grid) -> tuple:
     return tuple(chosen)
 
 
-def choose_delta(times, frac: float = 0.05) -> float:
-    """Smallest trimming level with ~``frac`` of the data in each tail.
+def choose_delta(times) -> float:
+    """Smallest trimming level with ~5% of the data in each tail.
 
-    Returns the smallest delta such that at least ceil(frac*n) points
+    Returns the smallest delta such that at least ceil(0.05 n) points
     fall in [0, delta] and in [1-delta, 1], placed midway between the
     adjacent order statistics.  Raises TrimmingError (a ValueError) when
     that leaves no usable window.
     """
     t = np.sort(np.asarray(times, dtype=float))
     n = len(t)
-    k = int(np.ceil(frac * n))
+    k = int(np.ceil(_TAIL_SHARE * n))
     if n < 2 * k + 2:
         raise TrimmingError("too few observations to trim")
     lo = 0.5 * (t[k - 1] + t[k])

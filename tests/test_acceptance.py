@@ -117,8 +117,8 @@ def test_criterion_4_ill_posedness_scaling():
 @pytest.mark.slow
 def test_criterion_5_rate_bracket():
     start = time.perf_counter()
-    out = rate_sweep(SimSpec(rng_seed=17), [200, 400, 800, 1600, 3200],
-                     replicates=30)
+    out = rate_sweep(SimSpec(rng_seed=17, replicates=30),
+                     [200, 400, 800, 1600, 3200])
     assert -1.2 <= out["slope"] <= -0.55
     elapsed = time.perf_counter() - start
     assert elapsed < 1800
@@ -154,9 +154,8 @@ def test_criterion_6_invariant_suites(true_model, true_trajectory):
 
     # LM monotone descent and stationarity
     from dynfit.estimator import constant_coefficients
-    cfg = FitConfig(delta=delta)
     beta_hat, report, _, _ = lm_fit(constant_coefficients(basis, 0.8), d,
-                                    cfg, x0, basis)
+                                    delta, x0, basis)
     assert np.all(np.diff(report.accepted_losses) < 0)
     assert report.status == "converged"
     r2, J2 = residuals_and_jacobian(beta_hat, d, delta, x0, basis)
@@ -185,8 +184,7 @@ def test_criterion_6_invariant_suites(true_model, true_trajectory):
     grid = np.linspace(0.2, 2.5, 300)
     i = int(np.argmin([f(b) for b in grid]))
     brute = golden_section(f, grid[i - 1], grid[i + 1])
-    bhat, _, _, _ = lm_fit(np.array([1.0]), dd, FitConfig(delta=0.08), 0.3,
-                           cbasis)
+    bhat, _, _, _ = lm_fit(np.array([1.0]), dd, 0.08, 0.3, cbasis)
     assert abs(bhat[0] - brute) < 1e-6
 
     # determinism byte-equality

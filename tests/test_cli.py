@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from dynfit.basis import make_basis
+from dynfit import estimator
 from dynfit.cli import _read_long_csv, _rescale_times, build_parser, main
 from dynfit.estimator import FitConfig, fit_at_dimension, select_M
-from dynfit.ode import GradientModel, solve_trajectory
+from dynfit.ode import solve_trajectory
 from dynfit.sim import SimSpec, generate_dataset, true_gradient_model
 from dynfit.smooth import Dataset
-
-GROWTH_AGES = np.concatenate([np.arange(1.0, 2.0, 0.25),
-                              np.arange(2.0, 8.0, 1.0),
-                              np.arange(8.0, 18.01, 0.5)])
+from output_record import write_cohort_csv
 
 
 @pytest.fixture(scope="session")
@@ -38,29 +35,9 @@ def single_csv(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def cohort_csv(tmp_path_factory):
-    """54 growth-style subjects, 31 ages each, in original time units.
-
-    Heights follow per-subject gradients with an infancy decline and a
-    sharp pubertal spurt (7 spline coefficients), so richer bases are
-    genuinely needed; measurement noise is 0.15 cm.
-    """
-    basis = make_basis(70.0, 185.0, 7, 4)
-    base_raw = np.array([24.0, 7.5, 4.5, 3.5, 15.0, 1.2, 0.15]) * 17.0
-    rng = np.random.default_rng(54)
-    t_unit = (GROWTH_AGES - 1.0) / 17.0
+    """54 growth-style subjects, 31 ages each (``write_cohort_csv``)."""
     path = tmp_path_factory.mktemp("cli") / "cohort.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["subject", "t", "y"])
-        for s in range(54):
-            raw = base_raw * np.exp(0.04 * rng.standard_normal(7))
-            model = GradientModel(basis, raw / basis.norm_factors)
-            h0 = rng.uniform(73.0, 78.0)
-            traj = solve_trajectory(model, 0.0, 1.0, h0, h=5e-4)
-            heights = traj.state_at(t_unit) \
-                + 0.15 * rng.standard_normal(len(t_unit))
-            for age, height in zip(GROWTH_AGES, heights):
-                w.writerow([f"girl{s:02d}", age, height])
+    write_cohort_csv(path)
     return str(path)
 
 
@@ -102,15 +79,15 @@ def test_fit_time_map_round_trip(single_csv, tmp_path):
 
 def test_fit_traj_grid_uses_step_size(single_csv, tmp_path):
     out = tmp_path / "fit"
-    assert main(["fit", single_csv, "--out", str(out), "--M-candidates", "4",
-                 "--h", "5e-4"]) == 0
+    assert main(["fit", single_csv, "--out", str(out),
+                 "--M-candidates", "4"]) == 0
     rec = json.load(open(f"{out}.json"))["per_subject"][0]
     t_raw, y = (np.asarray(v) for v in _read_long_csv(single_csv)["series"])
     t_unit, _ = _rescale_times(t_raw)
-    fit = select_M(Dataset(t_unit, y), FitConfig(candidate_Ms=(4,), h=5e-4))
+    fit = select_M(Dataset(t_unit, y), FitConfig(candidate_Ms=(4,)))
     ts = np.linspace(fit.delta, 1.0 - fit.delta, len(rec["traj_grid"]))
     traj = solve_trajectory(fit.model, fit.delta, 1.0 - fit.delta,
-                            fit.endpoints[0], h=5e-4)
+                            fit.endpoints[0], h=estimator._STEP)
     assert [row["x"] for row in rec["traj_grid"]] == \
         traj.state_at(ts).tolist()
 
@@ -170,8 +147,6 @@ def short_csv(tmp_path_factory):
 @pytest.mark.parametrize("argv", [
     ["fit", "{csv}", "--delta", "0.7"],
     ["fit", "{csv}", "--delta", "0"],
-    ["fit", "{csv}", "--h", "-1"],
-    ["fit", "{csv}", "--h", "0"],
     ["fit", "{csv}", "--order", "2"],
     ["fit", "{csv}", "--M-candidates", "0"],
     ["two-stage", "{csv}", "--M", "2"],
@@ -180,6 +155,8 @@ def short_csv(tmp_path_factory):
     ["simulate", "--sigma", "-1"],
     ["rates", "--replicates", "0"],
     ["rates", "--n-min", "0"],
+    ["rates", "--delta", "0.7"],
+    ["two-stage", "{csv}", "--order", "2"],
 ])
 def test_bad_numeric_option_is_an_input_error(short_csv, tmp_path, capsys,
                                               argv):
@@ -196,17 +173,17 @@ def test_bad_numeric_option_is_an_input_error(short_csv, tmp_path, capsys,
 # and go to.
 OPTION_CASES = {
     "fit": (["--M-candidates", "4"], {
-        "--format": "json", "--delta": "0.1", "--order": "3", "--h": "0.01",
+        "--format": "json", "--delta": "0.1", "--order": "3",
         "--M-candidates": "5"}),
     "two-stage": (["--M", "5"], {
         "--format": "json", "--delta": "0.1", "--order": "3", "--M": "6"}),
     "simulate": (["--replicates", "1", "--M-candidates", "4"], {
-        "--format": "json", "--delta": "0.1", "--order": "3", "--h": "0.01",
+        "--format": "json", "--delta": "0.1", "--order": "3",
         "--M-candidates": "5", "--replicates": "2", "--sigma": "0.02",
         "--n-min": "70", "--n-max": "90", "--seed": "1"}),
     "rates": (["--n-min", "50", "--n-max", "400", "--replicates", "1",
                "--fixed-M", "5", "--seed", "1"], {
-        "--format": "json", "--delta": "0.1", "--order": "3", "--h": "0.01",
+        "--format": "json", "--delta": "0.1", "--order": "3",
         "--replicates": "2", "--sigma": "0.02", "--n-min": "45",
         "--n-max": "800", "--fixed-M": "6", "--seed": "2"}),
 }
@@ -229,6 +206,15 @@ def test_every_option_has_a_case():
     # without abbreviations, "--h" is not read as "--help"
     with pytest.raises(SystemExit, match="2"):
         main(["two-stage", "in.csv", "--out", "o", "--h", "0.01"])
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "rates"])
+def test_step_size_is_not_an_option(single_csv, tmp_path, capsys, command):
+    head = [command] + ([single_csv] if command == "fit" else [])
+    with pytest.raises(SystemExit, match="2"):
+        main(head + ["--out", str(tmp_path / "o"), "--h", "5e-4"])
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -33,9 +33,9 @@ def constant_basis(lo: float, hi: float) -> SplineBasis:
                        _tables=(c0, np.zeros_like(c0)))
 
 
-def loss(beta, data, delta, start_value, basis, h=1e-3):
+def loss(beta, data, delta, start_value, basis):
     """Trimmed sum of squared residuals; +inf for infeasible beta."""
-    return _evaluate(beta, data, delta, start_value, basis, h)[0]
+    return _evaluate(beta, data, delta, start_value, basis)[0]
 
 
 
@@ -146,8 +146,7 @@ def test_constant_model_jacobian_column():
 def test_lm_converges_instantly_from_truth(true_model, true_trajectory):
     d, delta, x0, basis = fitting_setup(true_trajectory)
     beta_star = project_true(basis, true_model)
-    cfg = FitConfig(delta=delta)
-    beta, report, _, _ = lm_fit(beta_star, d, cfg, x0, basis)
+    beta, report, _, _ = lm_fit(beta_star, d, delta, x0, basis)
     assert report.status == "converged"
     assert report.iterations <= 2
     assert np.linalg.norm(beta - beta_star) < 1e-6
@@ -156,15 +155,13 @@ def test_lm_converges_instantly_from_truth(true_model, true_trajectory):
 def test_lm_rejects_infeasible_init(true_trajectory):
     d, delta, x0, basis = fitting_setup(true_trajectory)
     with pytest.raises(InfeasibleCoefficientsError):
-        lm_fit(constant_coefficients(basis, -1.0), d, FitConfig(delta=delta),
-               x0, basis)
+        lm_fit(constant_coefficients(basis, -1.0), d, delta, x0, basis)
 
 
 def test_lm_monotone_descent_and_stationarity(true_trajectory):
     d, delta, x0, basis = fitting_setup(true_trajectory, seed=5, sigma=0.01)
     init = constant_coefficients(basis, 0.8)
-    cfg = FitConfig(delta=delta)
-    beta, report, _, _ = lm_fit(init, d, cfg, x0, basis)
+    beta, report, _, _ = lm_fit(init, d, delta, x0, basis)
     losses = np.array(report.accepted_losses)
     assert np.all(np.diff(losses) < 0)
     assert report.status == "converged"
@@ -178,9 +175,8 @@ def test_lm_no_descent_error(true_model, true_trajectory, monkeypatch):
     beta_star = project_true(basis, true_model)
     monkeypatch.setattr(estimator, "_GRAD_TOL", 0.0)
     monkeypatch.setattr(estimator, "_STEP_TOL", 0.0)
-    cfg = FitConfig(delta=delta)
     with pytest.raises(NoDescentError) as err:
-        lm_fit(beta_star, d, cfg, x0, basis)
+        lm_fit(beta_star, d, delta, x0, basis)
     assert np.linalg.norm(err.value.best_beta - beta_star) < 1e-8
 
 
@@ -235,8 +231,7 @@ def test_scalar_case_matches_brute_force():
     i = int(np.argmin(vals))
     brute = golden_section(scalar_loss, grid[max(i - 1, 0)],
                            grid[min(i + 1, len(grid) - 1)])
-    beta_hat, report, _, _ = lm_fit(np.array([1.0]), d,
-                                    FitConfig(delta=delta), 0.3, basis)
+    beta_hat, report, _, _ = lm_fit(np.array([1.0]), d, delta, 0.3, basis)
     assert abs(beta_hat[0] - brute) < 1e-6
 
 
@@ -298,7 +293,7 @@ def test_constant_fallback_start_is_feasible(x0, width, delta, order, extra):
     # smoothed states beyond the basis domain leave the two-stage design
     # empty, so the initializer takes its constant fallback
     beyond = np.full(n, basis.x_hi + width)
-    beta = _initial_coefficients(data, basis, delta, 1e-3, (x0, x1),
+    beta = _initial_coefficients(data, basis, delta, (x0, x1),
                                  (beyond, np.zeros(n)))
     assert np.isfinite(loss(beta, data, delta, x0, basis))
 
@@ -500,6 +495,19 @@ def test_sample_supplies_its_own_delta(true_trajectory):
     assert fit.endpoints == sample.endpoints
 
 
+def test_lm_fit_takes_delta_and_reproduces_the_fit(true_trajectory):
+    d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
+    sample = Sample(d, FitConfig(delta=0.1))
+    fit = fit_at_dimension(sample, FitConfig(), 4)
+    basis = fit.model.basis
+    init = _initial_coefficients(sample.fit_data, basis, 0.1,
+                                 sample.endpoints, sample.presmoothed())
+    beta, report, _, _ = lm_fit(init, sample.fit_data, 0.1,
+                                sample.endpoints[0], basis)
+    assert beta.tobytes() == fit.model.beta.tobytes()
+    assert report == fit.convergence
+
+
 def test_select_needs_enough_data():
     d = Dataset(np.linspace(0, 1, 8), np.linspace(0.2, 1.0, 8))
     with pytest.raises(EstimatorError):
@@ -586,7 +594,7 @@ def test_support_margin_formula():
 
 def test_fit_config_validation():
     for options in ({"delta": 0.7}, {"candidate_Ms": ()}, {"order": 2},
-                    {"h": 0.0}, {"h": float("nan")}, {"candidate_Ms": (2, 3)},
+                    {"candidate_Ms": (2, 3)},
                     {"candidate_Ms": (4, 5), "order": 6}):
         with pytest.raises(ValueError):
             FitConfig(**options)

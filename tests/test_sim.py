@@ -162,14 +162,24 @@ def test_run_replicate_propagates_programming_errors(monkeypatch):
 
 def test_rate_sweep_needs_four_sizes():
     with pytest.raises(ValueError):
-        rate_sweep(SimSpec(), [500], replicates=2)
+        rate_sweep(SimSpec(replicates=2), [500])
     with pytest.raises(ValueError):
-        rate_sweep(SimSpec(), [200, 400, 800], replicates=2)
+        rate_sweep(SimSpec(replicates=2), [200, 400, 800])
 
 
-def test_rate_sweep_needs_a_replicate():
-    with pytest.raises(ValueError):
-        rate_sweep(SimSpec(), [200, 400, 800, 1600], replicates=0)
+def test_rate_sweep_fits_the_spec_replicates(monkeypatch):
+    fitted = []
+    real = sim.fit_at_dimension
+
+    def counted(data, config, M):
+        fitted.append(data.n)
+        return real(data, config, M)
+
+    monkeypatch.setattr(sim, "fit_at_dimension", counted)
+    out = rate_sweep(SimSpec(rng_seed=4, replicates=2), [50, 100, 200, 400],
+                     fixed_M=4)
+    assert fitted == [50, 50, 100, 100, 200, 200, 400, 400]
+    assert [row["n_ok"] for row in out["per_n"]] == [2, 2, 2, 2]
 
 
 @pytest.mark.slow
@@ -179,8 +189,9 @@ def test_rate_sweep_noiseless_bias_floor_is_flat():
     b6 = make_basis(0.1, 1.1, 6, 4)
     raw = np.array([0.3, 1.1, 0.5, 1.6, 0.9, 0.4])
     truth = GradientModel(b6, raw / b6.norm_factors)
-    spec = SimSpec(true_model=truth, x0=0.25, sigma=0.0, rng_seed=2)
-    out = rate_sweep(spec, [200, 400, 800, 1600], replicates=3, fixed_M=4)
+    spec = SimSpec(true_model=truth, x0=0.25, sigma=0.0, rng_seed=2,
+                   replicates=3)
+    out = rate_sweep(spec, [200, 400, 800, 1600], fixed_M=4)
     assert abs(out["slope"]) < 0.1
 
 
@@ -238,5 +249,5 @@ def test_conditioning_sweep_prepares_the_sample_once(monkeypatch):
         fit = fit_at_dimension(data, config, M, margin=out["margin"])
         _, J = residuals_and_jacobian(fit.model.beta, data.odd_half(),
                                       fit.delta, fit.endpoints[0],
-                                      fit.model.basis, config.h)
+                                      fit.model.basis)
         assert np.float64(lam).tobytes() == np.float64(_lambda_min(J)).tobytes()
