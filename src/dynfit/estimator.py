@@ -7,9 +7,9 @@ The estimator minimizes the trimmed loss
 where X is the integral curve of x' = g_beta(x) started at the
 estimated state x0_hat at time delta.  Minimization is damped
 Gauss-Newton (Levenberg-Marquardt) with the Jacobian supplied by the
-closed-form trajectory sensitivities.  Coefficient vectors for which
-g_beta is not positive on the basis domain get an infinite loss and act
-as rejected steps, which keeps the search unconstrained.
+closed-form trajectory sensitivities.  Coefficient vectors whose path
+is infeasible (see ``_evaluate``) get an infinite loss and act as
+rejected steps, which keeps the search unconstrained.
 
 A ``Sample`` prepares a dataset once: the trimming level, the endpoints
 from the even-indexed half, and the odd-indexed half, with its
@@ -31,9 +31,8 @@ import numpy as np
 from .basis import (SplineBasis, _knot_spacing, _knot_vector,
                     _smallest_support, make_basis)
 from .errors import DynfitError
-from .ode import (GradientModel, NonpositiveGradientError,
-                  TrajectoryDivergenceError, sensitivities_closed_form,
-                  solve_trajectory)
+from .ode import (GradientModel, TrajectoryDivergenceError,
+                  sensitivities_closed_form, solve_trajectory)
 from .smooth import (Dataset, SmoothingError, choose_delta, cv_bandwidth,
                      estimate_endpoints, local_poly)
 
@@ -43,7 +42,8 @@ class EstimatorError(DynfitError, RuntimeError):
 
 
 class InfeasibleCoefficientsError(EstimatorError):
-    """g_beta is nonpositive (or the trajectory diverges) at these beta."""
+    """The path of these beta is infeasible: it diverges, escapes the
+    basis domain, or visits a state where g_beta <= 0 (``_evaluate``)."""
 
 
 class NoDescentError(EstimatorError):
@@ -181,14 +181,13 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
               basis: SplineBasis):
     """(loss, residuals, trajectory, model); loss is +inf when infeasible.
 
-    Infeasible means: the gradient is nonpositive somewhere on the
-    traversed state range (monotonicity lost), the trajectory diverges,
-    or it escapes the basis domain.  Nonpositive stretches of g in the
-    unreached margin fringes are fine; the path never sees them.
+    The fit's one feasibility rule: the RK4 path from ``start_value`` is
+    finite, ends at or below the basis edge x_hi, and has g > 0 over the
+    states x it visits, ``min_on(min x, max x) > 0`` (exact).  So the path
+    is monotone and the closed-form Jacobian applies; g may dip below zero
+    where the path does not go.
     """
     model = GradientModel(basis, np.asarray(beta, dtype=float))
-    if model.g(float(start_value)) <= 0.0:
-        return np.inf, None, None, model
     mask = trim_mask(data.times, delta)
     t_in = data.times[mask]
     try:
@@ -197,7 +196,8 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
                                 h=_STEP, extra_times=t_in)
     except TrajectoryDivergenceError:
         return np.inf, None, None, model
-    if traj.nonpositive_encountered or traj.x_values[-1] > basis.x_hi:
+    x = traj.x_values
+    if x[-1] > basis.x_hi or model.min_on(x.min(), x.max()) <= 0.0:
         return np.inf, None, None, model
     resid = data.values[mask] - traj.state_at(t_in)
     return float(resid @ resid), resid, traj, model
@@ -205,10 +205,7 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
 
 def _jacobian(model, traj, t_in) -> np.ndarray:
     """d(residual)/d(beta) at the kept times: the negated sensitivities."""
-    try:
-        return -sensitivities_closed_form(model, traj, t_in).jacobian
-    except NonpositiveGradientError as exc:
-        raise InfeasibleCoefficientsError(str(exc)) from None
+    return -sensitivities_closed_form(model, traj, t_in).jacobian
 
 
 def residuals_and_jacobian(beta, data: Dataset, delta: float,
@@ -222,7 +219,7 @@ def residuals_and_jacobian(beta, data: Dataset, delta: float,
                                           basis)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError(
-            "gradient not positive (or trajectory diverged) at these beta")
+            "path infeasible (diverged, left the domain or met g <= 0)")
     return resid, _jacobian(model, traj,
                             data.times[trim_mask(data.times, delta)])
 
@@ -242,14 +239,16 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
            basis: SplineBasis):
     """Levenberg-Marquardt minimization of the loss trimmed at ``delta``.
 
-    Solves (J'J + lambda diag(J'J)) step = J'r at each iteration;
-    accepted steps shrink lambda, rejected or infeasible ones grow it, by
-    the module's ``_LAMBDA_*`` constants; ``_*_TOL`` end the run.  Paths
-    are solved at the step ``_STEP``.  ``init_beta`` may also be a
-    ``_Start``, evaluated at the same ``delta``.  Returns (beta_hat,
-    LMReport, residuals, J): the last two are the residual vector and its
-    Jacobian d(residual)/d(beta) at beta_hat, as ``residuals_and_jacobian``
-    gives them, from the evaluation LM already made there.  Raises
+    Solves (J'J + lambda diag(J'J)) step = J'r at each iteration and
+    accepts a step exactly when its loss is lower (an infeasible step's
+    is +inf, see ``_evaluate``); accepted steps shrink lambda, rejected
+    ones grow it, by the module's ``_LAMBDA_*`` constants; ``_*_TOL`` end
+    the run.  Paths are solved at the step ``_STEP``.  ``init_beta`` may
+    also be a ``_Start``, evaluated at the same ``delta``.  Returns
+    (beta_hat, LMReport, residuals, J): the last two are the residual
+    vector and its Jacobian d(residual)/d(beta) at beta_hat, as
+    ``residuals_and_jacobian`` gives them, from the evaluation LM already
+    made there.  Raises
     InfeasibleCoefficientsError if the start is infeasible, and
     NoDescentError as soon as lambda passes ``_LAMBDA_MAX``, whether or
     not earlier steps were accepted; the error carries the last accepted
@@ -287,16 +286,9 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
             cand = beta - step
             cand_value, cand_resid, cand_traj, cand_model = _evaluate(
                 cand, data, delta, start_value, basis)
-        cand_J = None
         if step is not None and cand_value < value:
-            try:
-                cand_J = _jacobian(cand_model, cand_traj, t_in)
-            except InfeasibleCoefficientsError:
-                pass
-        if cand_J is not None:
             beta, value, resid = cand, cand_value, cand_resid
-            model, traj = cand_model, cand_traj
-            J = cand_J
+            J = _jacobian(cand_model, cand_traj, t_in)
             grad = J.T @ resid
             lam *= _LAMBDA_DOWN
             accepted.append(value)
@@ -455,6 +447,9 @@ class Sample:
 def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
     """(FitResult, J): the fit at dimension M and the residual Jacobian at
     its coefficients, which is not kept on the result."""
+    if config.delta is not None and config.delta != sample.delta:
+        raise ValueError(f"config delta {config.delta} differs from the "
+                         f"sample's {sample.delta}")
     x0_hat, x1_hat = sample.endpoints
     delta, data_fit = sample.delta, sample.fit_data
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
@@ -475,7 +470,7 @@ def fit_at_dimension(data: Dataset | Sample, config: FitConfig, M: int,
     """The whole fit at basis dimension M, with its LOO score and
     covariance; ``margin`` defaults to ``support_margin``.  The
     ``candidate_Ms`` of ``config`` are not read.  A ``Sample`` given as
-    ``data`` supplies delta, from the config it was built with."""
+    ``data`` supplies delta; a config delta that differs is a ValueError."""
     sample = data if isinstance(data, Sample) else Sample(data, config)
     return _fit(sample, config, M, margin)[0]
 
@@ -486,10 +481,10 @@ def select_M(data: Dataset | Sample,
 
     Endpoints come from the even-indexed half of the sample, the fits
     use the odd-indexed half; a ``Sample`` given as ``data`` supplies
-    delta, from the config it was built with.  Dimensions below the
-    spline order are not candidates.  Candidates that fail (infeasible
-    margin, singular designs, no descent, ...) are recorded and skipped;
-    ties in the score break toward the smaller dimension.
+    delta, and a config delta that differs is a ValueError.  Dimensions
+    below the spline order are not candidates.  Candidates that fail
+    (infeasible margin, singular designs, no descent, ...) are recorded
+    and skipped; ties in the score break toward the smaller dimension.
     """
     sample = data if isinstance(data, Sample) else Sample(data, config)
     fits: dict[int, FitResult] = {}

@@ -14,8 +14,9 @@ doubles and every operation keeps its operands and its order, so the
 states and slopes are the same bit for bit as on numpy scalars
 (``tests/reference.py`` keeps that loop as the reference).
 
-When g > 0 along the path (decided exactly: g is piecewise polynomial)
-the sensitivities have closed forms in the state variable, from the
+When g > 0 along the path, which ``GradientModel.min_on`` decides
+exactly over the visited states (g is piecewise polynomial), the
+sensitivities have closed forms in the state variable, from the
 integral curve T(X; beta) = integral of du/g(u) from x_start to X =
 t - t_start: the Jacobian is g(X) times the integral of phi/g^2, and
 the Hessian adds the integral of phi phi^T/g^3.  One engine,
@@ -115,27 +116,20 @@ class GradientModel:
     def n_params(self) -> int:
         return self.basis.n_basis
 
-    @property
-    def min_gradient(self) -> float:
-        """Minimum of g over the basis domain."""
-        return self.min_on(self.basis.x_lo, self.basis.x_hi)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.min_gradient > 0.0
-
     def min_on(self, lo: float, hi: float) -> float:
-        """Exact minimum of g over [lo, hi]: g is evaluated at lo, hi, the
-        breakpoints between them and the roots of g' on each interval."""
-        bas = self.basis
-        lo, hi = (min(max(float(v), bas.x_lo), bas.x_hi) for v in (lo, hi))
-        bp = bas.breakpoints
-        points = [np.array([lo, hi]), bp[(bp > lo) & (bp < hi)]]
-        first, last = bas.interval_index(np.array([lo, hi]))
-        for j in range(first, last + 1):
-            roots = bp[j] + np.asarray(_real_roots(self._gpoly[1][j]))
-            points.append(np.clip(roots, max(lo, bp[j]), min(hi, bp[j + 1])))
-        return float(self.g(np.concatenate(points)).min())
+        """Exact minimum of g over [lo, hi], both clamped to the domain: g
+        is evaluated at lo, hi, the breakpoints between them and the roots
+        of g' on each interval, on the scalar path."""
+        x_lo, x_hi, breaks, rows = self._scalar
+        lo, hi = (min(max(float(v), x_lo), x_hi) for v in (lo, hi))
+        last = len(breaks) - 2
+        points = [lo, hi] + [b for b in breaks if lo < b < hi]
+        for j in range(min(bisect_right(breaks, lo) - 1, last),
+                       min(bisect_right(breaks, hi) - 1, last) + 1):
+            a, b = max(lo, breaks[j]), min(hi, breaks[j + 1])
+            points += [min(max(breaks[j] + r, a), b)
+                       for r in _real_roots(self._gpoly[1][j])]
+        return float(min(self._poly_at(x, rows) for x in points))
 
     def _poly_at(self, x: float, rows) -> float:
         """Horner's rule on the knot interval of x, with x clamped to the
@@ -205,7 +199,6 @@ class TrajectorySolution:
     t_start: float
     t_end: float
     x_start: float
-    nonpositive_encountered: bool = False
 
     def state_at(self, t):
         """Interpolated state at arbitrary times inside the window."""
@@ -260,9 +253,8 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
     (``estimator._STEP``), 1e-4 for the simulated truth.  ``extra_times``
     in range join the grid.  ``model`` only needs a ``g(x)`` method here, so
     synthetic non-spline dynamics go through the same interface.  Raises
-    TrajectoryDivergenceError when |x| exceeds 1e6 (``_OVERFLOW``);
-    records (without raising) whether a nonpositive gradient value was
-    seen at a grid node, since that voids the monotonicity guarantee.
+    TrajectoryDivergenceError when |x| exceeds 1e6 (``_OVERFLOW``), and
+    leaves the sign of g to the caller (the fit's: ``estimator._evaluate``).
     """
     if not t_start < t_end:
         raise ValueError("need t_start < t_end")
@@ -276,7 +268,6 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
     xs[0] = x
     f = g(x)
     fs[0] = f
-    nonpos = f <= 0.0
     for i, dt in enumerate(np.diff(grid).tolist(), start=1):
         k1 = f
         k2 = g(x + 0.5 * dt * k1)
@@ -289,12 +280,9 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
         f = g(x)
         xs[i] = x
         fs[i] = f
-        if f <= 0.0:
-            nonpos = True
     return TrajectorySolution(t_grid=grid, x_values=xs, f_values=fs,
                               t_start=float(t_start), t_end=float(t_end),
-                              x_start=float(x_start),
-                              nonpositive_encountered=bool(nonpos))
+                              x_start=float(x_start))
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,8 @@ class SimSpec:
         if self.replicates < 1:
             raise ValueError(f"need at least one replicate, got "
                              f"{self.replicates}")
-        if not self.true_model.is_positive:
+        basis = self.true_model.basis
+        if self.true_model.min_on(basis.x_lo, basis.x_hi) <= 0.0:
             raise ValueError("true gradient must be positive on its domain")
 
 
@@ -246,12 +247,15 @@ def rate_sweep(spec: SimSpec, n_list, config: FitConfig | None = None,
     a gradient of smoothness 3) but at least the order, and the mean
     one-step error over the replicates is recorded.  Returns the OLS
     slope with its standard error.  Requires four sample sizes or more
-    and a 70% success rate per n.
+    and a 70% success rate per n; a ``fixed_M`` below ``config.order`` is
+    a ValueError before any fit.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 4:
         raise ValueError("need at least 4 sample sizes for a slope")
     config = config if config is not None else FitConfig()
+    if fixed_M is not None:  # FitConfig rejects a dimension below the order
+        config = replace(config, candidate_Ms=(fixed_M,))
     replicates = spec.replicates
     exponent = 1.0 / (2 * _SMOOTHNESS + 3)
     per_n = []

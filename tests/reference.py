@@ -11,6 +11,8 @@ the second, with g'' from the derivative of the model's g' table.
 The numpy-scalar trajectory loop is the other kind of reference: the
 solver as it was before it ran on Python floats, kept word for word so
 that tests can require the package's solver to give the same bytes.
+``vectorised_min_on`` is the exact minimum of g as it was computed on
+the vector path of g, before ``GradientModel.min_on`` moved to floats.
 So is the moment smoother with its cross-validation, as it was before
 one kernel pass per query block served every bandwidth and degree.
 """
@@ -22,7 +24,8 @@ from numpy.polynomial.legendre import leggauss
 
 from dynfit.basis import _differentiate
 from dynfit.ode import (SensitivityBundle, TrajectoryDivergenceError,
-                        TrajectorySolution, _sorted_unique, solve_trajectory)
+                        TrajectorySolution, _real_roots, _sorted_unique,
+                        solve_trajectory)
 from dynfit.smooth import Dataset, SmoothingError
 
 
@@ -129,6 +132,21 @@ class NumpyScalarGradient:
         return self._poly_at(float(x), 0)
 
 
+def vectorised_min_on(model, lo: float, hi: float) -> float:
+    """Exact minimum of g over [lo, hi], both clamped to the domain: the
+    vector path of g at lo, hi, the breakpoints between them and the
+    roots of g' on each interval."""
+    bas = model.basis
+    lo, hi = (min(max(float(v), bas.x_lo), bas.x_hi) for v in (lo, hi))
+    bp = bas.breakpoints
+    points = [np.array([lo, hi]), bp[(bp > lo) & (bp < hi)]]
+    first, last = bas.interval_index(np.array([lo, hi]))
+    for j in range(first, last + 1):
+        roots = bp[j] + np.asarray(_real_roots(model._gpoly[1][j]))
+        points.append(np.clip(roots, max(lo, bp[j]), min(hi, bp[j + 1])))
+    return float(model.g(np.concatenate(points)).min())
+
+
 def numpy_time_grid(t_start: float, t_end: float, h: float,
                     extra_times=None) -> np.ndarray:
     """The solver's time grid, merged with the extra times by np.unique."""
@@ -163,7 +181,6 @@ def numpy_scalar_solve_trajectory(model, t_start: float, t_end: float,
     xs[0] = x
     f = g(x)
     fs[0] = f
-    nonpos = f <= 0.0
     for i in range(len(grid) - 1):
         dt = grid[i + 1] - grid[i]
         k1 = fs[i]
@@ -177,12 +194,9 @@ def numpy_scalar_solve_trajectory(model, t_start: float, t_end: float,
         f = g(x)
         xs[i + 1] = x
         fs[i + 1] = f
-        if f <= 0.0:
-            nonpos = True
     return TrajectorySolution(t_grid=grid, x_values=xs, f_values=fs,
                               t_start=float(t_start), t_end=float(t_end),
-                              x_start=float(x_start),
-                              nonpositive_encountered=bool(nonpos))
+                              x_start=float(x_start))
 
 
 _BLOCK = 128  # queries per block of the moment sums in _local_systems

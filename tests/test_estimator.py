@@ -348,29 +348,6 @@ def test_two_stage_start_is_solved_once_per_candidate(true_trajectory,
         assert len(run) == len(set(run))
 
 
-def test_start_with_infeasible_jacobian_fails_the_candidate(true_trajectory,
-                                                            monkeypatch):
-    import dynfit.estimator as est
-
-    solved = []
-    real_solve = est.solve_trajectory
-
-    def counted_solve(model, *args, **kwargs):
-        solved.append(model.beta)
-        return real_solve(model, *args, **kwargs)
-
-    def no_jacobian(*args, **kwargs):
-        raise InfeasibleCoefficientsError("no Jacobian here")
-
-    monkeypatch.setattr(est, "solve_trajectory", counted_solve)
-    monkeypatch.setattr(est, "_jacobian", no_jacobian)
-    with pytest.raises(InfeasibleCoefficientsError):
-        fit_at_dimension(make_replicate(true_trajectory, seed=3), FitConfig(),
-                         4)
-    # only the two-stage start was solved: no constant fallback
-    assert len(solved) == 1
-
-
 def test_loo_score_formula():
     rng = np.random.default_rng(4)
     J = rng.standard_normal((30, 3))
@@ -493,6 +470,12 @@ def test_sample_supplies_its_own_delta(true_trajectory):
     fit = fit_at_dimension(sample, FitConfig(), 4)
     assert fit.delta == sample.delta == 0.1
     assert fit.endpoints == sample.endpoints
+    assert fit_at_dimension(sample, FitConfig(delta=0.1), 4).delta == 0.1
+    # a config delta that contradicts the sample's is an error, not ignored
+    with pytest.raises(ValueError, match="differs"):
+        fit_at_dimension(sample, FitConfig(delta=0.2), 4)
+    with pytest.raises(ValueError, match="differs"):
+        select_M(sample, FitConfig(delta=0.2))
 
 
 def test_lm_fit_takes_delta_and_reproduces_the_fit(true_trajectory):

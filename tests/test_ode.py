@@ -62,7 +62,6 @@ def test_benchmark_trajectory_against_richardson_oracle(true_model):
 
 def test_monotone_when_gradient_positive(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
-    assert not traj.nonpositive_encountered
     assert np.all(np.diff(traj.x_values) > 0)
 
 
@@ -83,18 +82,18 @@ def test_divergence_error():
         solve_trajectory(ExpModel(), 0.0, 30.0, 1.0, h=1e-2)
 
 
-def test_nonpositive_gradient_recorded():
+def test_nonpositive_gradient_on_visited_states():
     basis = make_basis(0.0, 1.0, 5, 4)
     raw = np.array([0.8, 0.8, -1.5, 0.8, 0.8])  # dips negative mid-domain
     model = GradientModel(basis, raw / basis.norm_factors)
-    assert not model.is_positive
-    # started inside the dip, the nonpositive value is seen immediately
-    traj = solve_trajectory(model, 0.0, 0.5, 0.5, h=1e-3)
-    assert traj.nonpositive_encountered
+    assert model.min_on(0.0, 1.0) <= 0.0
+    # started inside the dip, the path visits a state with g <= 0
+    x = solve_trajectory(model, 0.0, 0.5, 0.5, h=1e-3).x_values
+    assert model.min_on(x.min(), x.max()) <= 0.0
     # started below the dip the path stalls under the root: g stays > 0
-    stalled = solve_trajectory(model, 0.0, 2.0, 0.05, h=1e-3)
-    assert not stalled.nonpositive_encountered
-    assert stalled.x_values[-1] < 0.5
+    x = solve_trajectory(model, 0.0, 2.0, 0.05, h=1e-3).x_values
+    assert model.min_on(x.min(), x.max()) > 0.0
+    assert x[-1] < 0.5
 
 
 def test_dense_output_checks_window():
@@ -281,8 +280,8 @@ def test_positivity_is_exact_between_grid_nodes():
                            rcond=None)[0]
     model = GradientModel(basis, beta)
     assert model.g(c) < 0.0
-    assert not model.is_positive
-    assert model.min_gradient == pytest.approx(-1e-10, rel=1e-3)
+    assert model.min_on(0.0, 1.0) <= 0.0
+    assert model.min_on(0.0, 1.0) == pytest.approx(-1e-10, rel=1e-3)
     assert model.min_on(0.6, 0.9) == pytest.approx(0.01 - 1e-10)
     # a path from 0.1 to 0.9 (driven by a constant gradient) crosses c
     flat = GradientModel(basis, 0.8 / basis.norm_factors)
@@ -376,7 +375,6 @@ def assert_same_solution(model, *args, **kwargs):
                                         **kwargs)
     for name in ("t_grid", "x_values", "f_values"):
         assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
-    assert ours.nonpositive_encountered == ref.nonpositive_encountered
     return ours
 
 
@@ -402,10 +400,8 @@ def test_solver_bitwise_when_gradient_crosses_zero():
     basis = make_basis(0.0, 1.0, 5, 4)
     raw = np.array([0.8, 0.8, -1.5, 0.8, 0.8])
     model = GradientModel(basis, raw / basis.norm_factors)
-    assert assert_same_solution(model, 0.0, 0.5, 0.5,
-                                h=1e-3).nonpositive_encountered
-    assert not assert_same_solution(model, 0.0, 2.0, 0.05,
-                                    h=1e-3).nonpositive_encountered
+    assert_same_solution(model, 0.0, 0.5, 0.5, h=1e-3)
+    assert_same_solution(model, 0.0, 2.0, 0.05, h=1e-3)
 
 
 def test_solver_divergence_message_matches_reference():

@@ -16,7 +16,7 @@ from dynfit.sim import (SimSpec, conditioning_sweep, generate_dataset,
 
 def test_true_model_construction():
     model = true_gradient_model()
-    assert model.is_positive
+    assert model.min_on(0.1, 1.1) > 0.0
     assert model.basis.n_basis == 4
     assert (model.basis.x_lo, model.basis.x_hi) == (0.1, 1.1)
     # coefficients weight the raw partition-of-unity splines
@@ -165,6 +165,15 @@ def test_rate_sweep_needs_four_sizes():
         rate_sweep(SimSpec(replicates=2), [500])
     with pytest.raises(ValueError):
         rate_sweep(SimSpec(replicates=2), [200, 400, 800])
+
+
+def test_rate_sweep_rejects_a_dimension_below_the_order(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking the dimension")
+
+    monkeypatch.setattr(sim, "fit_at_dimension", no_fit)
+    with pytest.raises(ValueError, match="at least the order 4"):
+        rate_sweep(SimSpec(replicates=2), [50, 100, 200, 400], fixed_M=3)
 
 
 def test_rate_sweep_fits_the_spec_replicates(monkeypatch):
