@@ -11,10 +11,9 @@ from .basis import BasisError, SplineBasis, make_basis
 from .errors import DynfitError
 from .estimator import (AllCandidatesFailedError, EstimatorError, FitConfig,
                         FitResult, InfeasibleCoefficientsError, LMReport,
-                        NoDescentError, Sample, SingularDesignError,
-                        approximate_loo_score, fit_at_dimension, lm_fit,
-                        residuals_and_jacobian, select_M, support_margin,
-                        two_stage_fit)
+                        Sample, SingularDesignError, approximate_loo_score,
+                        fit_at_dimension, lm_fit, residuals_and_jacobian,
+                        select_M, support_margin, two_stage_fit)
 from .ode import (GradientModel, NonpositiveGradientError, SensitivityBundle,
                   TrajectoryDivergenceError, TrajectorySolution,
                   hessian_sensitivities, sensitivities_closed_form,
@@ -32,7 +31,7 @@ __all__ = [
     "AllCandidatesFailedError", "BasisError", "Dataset", "DynfitError",
     "EstimatorError", "FitConfig", "FitResult", "GradientModel",
     "InfeasibleCoefficientsError", "InsufficientDataError", "LMReport",
-    "NoDescentError", "NonpositiveGradientError", "ReplicateReport",
+    "NonpositiveGradientError", "ReplicateReport",
     "Sample", "SensitivityBundle", "SimSpec", "SingularDesignError",
     "SmoothingError", "SplineBasis", "TrajectoryDivergenceError",
     "TrajectorySolution", "approximate_loo_score", "choose_delta",

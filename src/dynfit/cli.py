@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -165,7 +166,7 @@ def _fit_subjects(args, method: str, record_of) -> int:
                 raise InputError("fewer than 10 rows")
             t_unit, time_map = _rescale_times(t_raw)
             per_subject.append(record_of(
-                subject, Dataset(t_unit, y, subject_id=subject), time_map))
+                subject, Dataset(t_unit, y), time_map))
         except DynfitError as exc:
             errors.append({"subject": subject,
                            "error": f"{type(exc).__name__}: {exc}"})
@@ -205,18 +206,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_two_stage(args) -> int:
-    n_basis = 6 if args.M is None else args.M
-    config = _build(FitConfig, delta=args.delta, candidate_Ms=(n_basis,),
+    config = _build(FitConfig, delta=args.delta, candidate_Ms=(args.M,),
                     order=args.order)
-    if args.M is None:
-        print("warning: --M not given, defaulting to M=6", file=sys.stderr)
 
     def record(subject, data, time_map):
         sample = Sample(data, config)
-        basis = margin_basis(*sample.endpoints, n_basis, config.order, data.n)
+        basis = margin_basis(*sample.endpoints, args.M, config.order, data.n)
         beta = two_stage_fit(sample.fit_data, basis, sample.delta,
-                             sample.presmoothed())
-        return _subject_record(subject, n_basis, GradientModel(basis, beta),
+                             sample.presmoothed)
+        return _subject_record(subject, args.M, GradientModel(basis, beta),
                                sample.endpoints, time_map, cv_score=None,
                                sigma2=None, convergence=None, traj_grid=[])
 
@@ -298,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("two-stage", help="presmooth-and-regress estimator",
                        **strict)
     _add_common(p, with_input=True)
-    p.add_argument("--M", type=int, default=None,
-                   help="basis dimension (default 6, with a warning)")
+    p.add_argument("--M", type=int, required=True, help="basis dimension")
     p.set_defaults(func=cmd_two_stage)
 
     p = sub.add_parser("simulate", help="replicated benchmark study", **strict)
@@ -330,6 +327,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any input is read or fit: a missing directory writes nothing
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise InputError(f"--out directory {out_dir} does not exist")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

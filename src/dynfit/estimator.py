@@ -33,8 +33,8 @@ from .basis import (SplineBasis, _knot_spacing, _knot_vector,
 from .errors import DynfitError
 from .ode import (GradientModel, TrajectoryDivergenceError,
                   sensitivities_closed_form, solve_trajectory)
-from .smooth import (Dataset, SmoothingError, choose_delta, cv_bandwidth,
-                     estimate_endpoints, local_poly)
+from .smooth import (Dataset, choose_delta, cv_bandwidth, estimate_endpoints,
+                     local_poly)
 
 
 class EstimatorError(DynfitError, RuntimeError):
@@ -44,19 +44,6 @@ class EstimatorError(DynfitError, RuntimeError):
 class InfeasibleCoefficientsError(EstimatorError):
     """The path of these beta is infeasible: it diverges, escapes the
     basis domain, or visits a state where g_beta <= 0 (``_evaluate``)."""
-
-
-class NoDescentError(EstimatorError):
-    """LM damping grew past its cap, after accepted steps or none.
-
-    ``best_beta`` holds the last accepted coefficients and ``report`` the
-    LMReport (status ``no_descent``) of the run.
-    """
-
-    def __init__(self, message, best_beta, report):
-        super().__init__(message)
-        self.best_beta = best_beta
-        self.report = report
 
 
 class SingularDesignError(EstimatorError):
@@ -248,11 +235,12 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
     (beta_hat, LMReport, residuals, J): the last two are the residual
     vector and its Jacobian d(residual)/d(beta) at beta_hat, as
     ``residuals_and_jacobian`` gives them, from the evaluation LM already
-    made there.  Raises
-    InfeasibleCoefficientsError if the start is infeasible, and
-    NoDescentError as soon as lambda passes ``_LAMBDA_MAX``, whether or
-    not earlier steps were accepted; the error carries the last accepted
-    coefficients and the report.
+    made there.  Every stop is a status: ``converged`` (gradient),
+    ``step_tol`` (step), ``max_iter`` (``_MAX_ITER``) or ``no_descent``
+    (lambda passed ``_LAMBDA_MAX``); each returns the last accepted beta.
+    With no accepted step that is the start, and the caller's LOO score
+    decides whether it is kept.  Raises InfeasibleCoefficientsError if
+    the start is infeasible.
     """
     if isinstance(init_beta, _Start):
         beta = init_beta.beta.copy()
@@ -298,14 +286,8 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
         else:
             lam *= _LAMBDA_UP
             if lam > _LAMBDA_MAX:
-                report = LMReport(status="no_descent", iterations=it,
-                                  final_lambda=lam,
-                                  grad_norm=float(np.abs(grad).max()),
-                                  loss_value=value,
-                                  accepted_losses=tuple(accepted))
-                raise NoDescentError(
-                    f"damping exceeded {_LAMBDA_MAX:g} without descent",
-                    best_beta=beta, report=report)
+                status = "no_descent"
+                break
     report = LMReport(status=status, iterations=it, final_lambda=lam,
                       grad_norm=float(np.abs(grad).max()), loss_value=value,
                       accepted_losses=tuple(accepted))
@@ -419,8 +401,9 @@ def _gauss_newton(resid: np.ndarray, J: np.ndarray):
 
 class Sample:
     """A dataset prepared once for every fit: ``delta`` (``config.delta`` or
-    ``choose_delta``), the ``endpoints`` from the even half, and the odd
-    half ``fit_data`` with its ``presmoothed()`` pair, made on first use."""
+    ``choose_delta``), the ``endpoints`` from the even half, the odd half
+    ``fit_data`` and ``presmoothed``, its ``presmooth`` pair.  A failure
+    of any of these raises here, once, not in each fit."""
 
     def __init__(self, data: Dataset, config: FitConfig):
         if data.n < 10:
@@ -430,18 +413,7 @@ class Sample:
             else choose_delta(data.times)
         self.endpoints = estimate_endpoints(data, self.delta)
         self.fit_data = data.odd_half()
-        self._smoothed = None
-
-    def presmoothed(self):
-        # one smoothing for every fit; a failure fails each later fit alike
-        if self._smoothed is None:
-            try:
-                self._smoothed = presmooth(self.fit_data)
-            except SmoothingError as exc:
-                self._smoothed = exc
-        if isinstance(self._smoothed, SmoothingError):
-            raise self._smoothed
-        return self._smoothed
+        self.presmoothed = presmooth(self.fit_data)
 
 
 def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
@@ -454,7 +426,7 @@ def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
     delta, data_fit = sample.delta, sample.fit_data
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
     init = _initial_coefficients(data_fit, basis, delta, sample.endpoints,
-                                 sample.presmoothed())
+                                 sample.presmoothed)
     beta, report, resid, J = lm_fit(init, data_fit, delta, x0_hat, basis)
     cv = approximate_loo_score(resid, J)
     cov, sigma2 = _gauss_newton(resid, J)
@@ -483,8 +455,8 @@ def select_M(data: Dataset | Sample,
     use the odd-indexed half; a ``Sample`` given as ``data`` supplies
     delta, and a config delta that differs is a ValueError.  Dimensions
     below the spline order are not candidates.  Candidates that fail
-    (infeasible margin, singular designs, no descent, ...) are recorded
-    and skipped; ties in the score break toward the smaller dimension.
+    (infeasible margin or start, singular designs, ...) are recorded and
+    skipped; ties in the score break toward the smaller dimension.
     """
     sample = data if isinstance(data, Sample) else Sample(data, config)
     fits: dict[int, FitResult] = {}

@@ -158,7 +158,7 @@ def run_replicate(spec: SimSpec, index: int, config: FitConfig,
     ise1 = _model_ise(fit.model, spec.true_model, lo, hi)
     try:
         beta_ts = two_stage_fit(sample.fit_data, fit.model.basis, fit.delta,
-                                sample.presmoothed())
+                                sample.presmoothed)
         ise2 = _model_ise(GradientModel(fit.model.basis, beta_ts),
                           spec.true_model, lo, hi)
     except EstimatorError:

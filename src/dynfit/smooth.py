@@ -52,13 +52,11 @@ class Dataset:
     """Time-ordered observations (t_j, Y_j) on [0, 1].
 
     Sorted ascending by time on construction (stable, so ties keep
-    their input order).  ``subject_id`` tags the series when several
-    subjects share a file.
+    their input order).
     """
 
     times: np.ndarray
     values: np.ndarray
-    subject_id: str | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -78,7 +76,7 @@ class Dataset:
         return len(self.times)
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.times[idx], self.values[idx], self.subject_id)
+        return Dataset(self.times[idx], self.values[idx])
 
     def even_half(self) -> "Dataset":
         """Observations at even positions (0, 2, ...) of the sorted series."""

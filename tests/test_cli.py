@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from dynfit import estimator
+from dynfit import cli, estimator
 from dynfit.cli import _read_long_csv, _rescale_times, build_parser, main
 from dynfit.estimator import FitConfig, fit_at_dimension, select_M
 from dynfit.ode import solve_trajectory
@@ -150,13 +150,13 @@ def short_csv(tmp_path_factory):
     ["fit", "{csv}", "--order", "2"],
     ["fit", "{csv}", "--M-candidates", "0"],
     ["two-stage", "{csv}", "--M", "2"],
-    ["two-stage", "{csv}", "--delta", "0.5"],
+    ["two-stage", "{csv}", "--M", "6", "--delta", "0.5"],
     ["simulate", "--replicates", "0"],
     ["simulate", "--sigma", "-1"],
     ["rates", "--replicates", "0"],
     ["rates", "--n-min", "0"],
     ["rates", "--delta", "0.7"],
-    ["two-stage", "{csv}", "--order", "2"],
+    ["two-stage", "{csv}", "--M", "6", "--order", "2"],
 ])
 def test_bad_numeric_option_is_an_input_error(short_csv, tmp_path, capsys,
                                               argv):
@@ -243,14 +243,36 @@ def test_all_subjects_failed_is_reported(tmp_path, capsys, command):
         "InputError: fewer than 10 rows"
 
 
-def test_two_stage_defaults_with_warning(single_csv, tmp_path, capsys,
-                                         schema):
-    out = tmp_path / "ts"
-    assert main(["two-stage", single_csv, "--out", str(out)]) == 0
-    assert "defaulting to M=6" in capsys.readouterr().err
-    payload = json.load(open(f"{out}.json"))
+def test_two_stage_requires_M(single_csv, tmp_path, capsys, monkeypatch,
+                              schema):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match="2"):
+        main(["two-stage", single_csv, "--out", "ts"])
+    assert "--M" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # an --out with no directory part writes to the working directory
+    assert main(["two-stage", single_csv, "--out", "ts", "--M", "6"]) == 0
+    payload = json.load(open(tmp_path / "ts.json"))
     validate(payload, schema)
     assert payload["per_subject"][0]["M"] == 6
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "INPUT"], ["two-stage", "INPUT", "--M", "6"],
+    ["simulate", "--replicates", "1"],
+    ["rates", "--replicates", "1", "--n-min", "20", "--n-max", "160"]])
+def test_missing_out_directory_fails_before_any_work(
+        single_csv, tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("_read_long_csv", "run_study", "rate_sweep"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [single_csv if a == "INPUT" else a for a in command]
+    out = tmp_path / "missing" / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_two_stage_worse_than_integral_fit(single_csv, tmp_path):

@@ -6,7 +6,7 @@ from dynfit import estimator
 from dynfit.basis import SplineBasis, make_basis
 from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               FitConfig, InfeasibleCoefficientsError,
-                              NoDescentError, Sample, SingularDesignError,
+                              Sample, SingularDesignError,
                               approximate_loo_score, constant_coefficients,
                               fit_at_dimension, lm_fit, margin_basis,
                               presmooth, residuals_and_jacobian, select_M,
@@ -170,14 +170,36 @@ def test_lm_monotone_descent_and_stationarity(true_trajectory):
     assert gnorm <= estimator._GRAD_TOL * (1 + report.loss_value)
 
 
-def test_lm_no_descent_error(true_model, true_trajectory, monkeypatch):
-    d, delta, x0, basis = fitting_setup(true_trajectory)
-    beta_star = project_true(basis, true_model)
+def without_stopping_tolerances(monkeypatch):
+    """Leave LM only the damping cap (or the iteration limit) to stop at."""
     monkeypatch.setattr(estimator, "_GRAD_TOL", 0.0)
     monkeypatch.setattr(estimator, "_STEP_TOL", 0.0)
-    with pytest.raises(NoDescentError) as err:
-        lm_fit(beta_star, d, delta, x0, basis)
-    assert np.linalg.norm(err.value.best_beta - beta_star) < 1e-8
+
+
+def test_lm_no_descent_is_a_returned_status(true_model, true_trajectory,
+                                            monkeypatch):
+    d, delta, x0, basis = fitting_setup(true_trajectory)
+    beta_star = project_true(basis, true_model)
+    without_stopping_tolerances(monkeypatch)
+    beta, report, resid, J = lm_fit(beta_star, d, delta, x0, basis)
+    assert report.status == "no_descent"
+    assert report.final_lambda > estimator._LAMBDA_MAX
+    assert np.linalg.norm(beta - beta_star) < 1e-8
+    assert np.all(np.diff(report.accepted_losses) < 0)
+    assert report.loss_value == report.accepted_losses[-1]
+    # the last accepted beta, with its residuals and Jacobian
+    resid_at, J_at = residuals_and_jacobian(beta, d, delta, x0, basis)
+    assert resid.tobytes() == resid_at.tobytes()
+    assert J.tobytes() == J_at.tobytes()
+
+
+def test_select_scores_no_descent_candidates(true_trajectory, monkeypatch):
+    without_stopping_tolerances(monkeypatch)
+    d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
+    fit = select_M(d, FitConfig(candidate_Ms=(4, 5)))
+    assert fit.candidate_failures == {}
+    assert sorted(fit.candidate_scores) == [4, 5]
+    assert fit.convergence.status == "no_descent"
 
 
 def test_trimming_excludes_tail_observations(true_model, true_trajectory):
@@ -410,10 +432,16 @@ def failing_presmooth(data):
 
 
 def test_select_all_failed(true_trajectory, monkeypatch):
-    monkeypatch.setattr(estimator, "presmooth", failing_presmooth)
+    def failing_basis(x0_hat, x1_hat, M, *args):
+        raise EstimatorError(f"no basis for M={M}")
+
+    monkeypatch.setattr(estimator, "margin_basis", failing_basis)
     d = make_replicate(true_trajectory, seed=12, n=80, sigma=0.01)
-    with pytest.raises(AllCandidatesFailedError):
+    with pytest.raises(AllCandidatesFailedError) as err:
         select_M(d, FitConfig(candidate_Ms=(4, 5)))
+    assert err.value.failures == {
+        4: "EstimatorError: no basis for M=4",
+        5: "EstimatorError: no basis for M=5"}
 
 
 def test_select_presmooths_once(true_trajectory, monkeypatch):
@@ -431,18 +459,20 @@ def test_select_presmooths_once(true_trajectory, monkeypatch):
     assert sorted(fit.candidate_scores) == [4, 5]
     assert calls == [40]
 
+
+def test_sample_presmoothing_failure_raises_once_when_built(true_trajectory,
+                                                           monkeypatch):
+    calls = []
+
     def failing(data):
         calls.append(data.n)
-        raise SmoothingError("all candidate bandwidths give singular designs")
+        return failing_presmooth(data)
 
-    calls.clear()
     monkeypatch.setattr(estimator, "presmooth", failing)
-    with pytest.raises(AllCandidatesFailedError) as err:
-        select_M(d, FitConfig(candidate_Ms=(3, 4, 5)))
+    d = make_replicate(true_trajectory, seed=13, n=80, sigma=0.01)
+    with pytest.raises(SmoothingError, match="singular designs"):
+        Sample(d, FitConfig(candidate_Ms=(4, 5)))
     assert calls == [40]
-    assert sorted(err.value.failures) == [4, 5]
-    assert err.value.failures[4] == err.value.failures[5] == (
-        "SmoothingError: all candidate bandwidths give singular designs")
 
 
 def fit_bytes(fit):
@@ -484,7 +514,7 @@ def test_lm_fit_takes_delta_and_reproduces_the_fit(true_trajectory):
     fit = fit_at_dimension(sample, FitConfig(), 4)
     basis = fit.model.basis
     init = _initial_coefficients(sample.fit_data, basis, 0.1,
-                                 sample.endpoints, sample.presmoothed())
+                                 sample.endpoints, sample.presmoothed)
     beta, report, _, _ = lm_fit(init, sample.fit_data, 0.1,
                                 sample.endpoints[0], basis)
     assert beta.tobytes() == fit.model.beta.tobytes()
