@@ -155,15 +155,6 @@ class SplineBasis:
     # normalized coefficient tables of the values and first derivatives
     _tables: tuple = field(repr=False)
 
-    @property
-    def knot_spacing(self) -> float:
-        return _knot_spacing(self.knots, self.order)
-
-    @property
-    def smallest_support(self) -> float:
-        """Length of the shortest support among the basis functions."""
-        return _smallest_support(self.knots, self.order)
-
     def interval_index(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         return np.clip(idx, 0, len(self.breakpoints) - 2)

@@ -14,8 +14,9 @@ rejected steps, which keeps the search unconstrained.
 A ``Sample`` prepares a dataset once: the trimming level, the endpoints
 from the even-indexed half, and the odd-indexed half, with its
 presmoothing, that every fit uses; so the two halves are independent.
-On it, ``fit_at_dimension`` widens the basis by a margin, starts from
-the two-stage regression, runs LM, scores by approximate leave-one-out
+On it, ``fit_at_dimension`` widens the basis by a margin, runs LM from
+the two-stage regression (or, when that start is singular or
+infeasible, from the constant model), scores by approximate leave-one-out
 (from the linearized hat matrix at the fitted coefficients) and takes
 the Gauss-Newton covariance.  ``select_M`` runs the same body for every
 candidate dimension and keeps the best score.
@@ -137,22 +138,25 @@ class FitResult:
         return g, g - width * se, g + width * se
 
 
-def support_margin(n_basis: int, n_obs: int, smallest_support: float) -> float:
-    """Widening of the basis support beyond the estimated endpoints."""
+def support_margin(x0_hat: float, x1_hat: float, M: int, order: int,
+                   n_obs: int) -> float:
+    """Widening of the basis support beyond the estimated endpoints:
+    min(M^(-3/2) log n, s_M / log n), with s_M the smallest support length
+    of the unwidened basis of dimension M on [x0_hat, x1_hat]."""
+    _, knots = _knot_vector(x0_hat, x1_hat, M, order)
     logn = np.log(n_obs)
-    return float(min(n_basis ** -1.5 * logn, smallest_support / logn))
+    return float(min(M ** -1.5 * logn, _smallest_support(knots, order) / logn))
 
 
 def margin_basis(x0_hat: float, x1_hat: float, M: int, order: int,
                  n_obs: int, margin: float | None = None) -> SplineBasis:
     """Basis of dimension M on [x0_hat, x1_hat] widened by the margin.
 
-    The margin defaults to ``support_margin`` of the unwidened basis and
-    must lie in (0, knot spacing of the unwidened basis); both are read
-    off its knot vector.
+    The margin defaults to ``support_margin`` and must lie in (0, knot
+    spacing of the unwidened basis).
     """
     _, knots = _knot_vector(x0_hat, x1_hat, M, order)
-    eta = support_margin(M, n_obs, _smallest_support(knots, order)) \
+    eta = support_margin(x0_hat, x1_hat, M, order, n_obs) \
         if margin is None else margin
     if not 0.0 < eta < _knot_spacing(knots, order):
         raise EstimatorError(
@@ -166,7 +170,8 @@ def trim_mask(times: np.ndarray, delta: float) -> np.ndarray:
 
 def _evaluate(beta, data: Dataset, delta: float, start_value: float,
               basis: SplineBasis):
-    """(loss, residuals, trajectory, model); loss is +inf when infeasible.
+    """(loss, residuals, x_in, model), with ``x_in`` the path's states at
+    the kept times; loss is +inf (and the middle two None) when infeasible.
 
     The fit's one feasibility rule: the RK4 path from ``start_value`` is
     finite, ends at or below the basis edge x_hi, and has g > 0 over the
@@ -186,13 +191,14 @@ def _evaluate(beta, data: Dataset, delta: float, start_value: float,
     x = traj.x_values
     if x[-1] > basis.x_hi or model.min_on(x.min(), x.max()) <= 0.0:
         return np.inf, None, None, model
-    resid = data.values[mask] - traj.state_at(t_in)
-    return float(resid @ resid), resid, traj, model
+    x_in = traj.state_at(t_in)
+    resid = data.values[mask] - x_in
+    return float(resid @ resid), resid, x_in, model
 
 
-def _jacobian(model, traj, t_in) -> np.ndarray:
-    """d(residual)/d(beta) at the kept times: the negated sensitivities."""
-    return -sensitivities_closed_form(model, traj, t_in).jacobian
+def _jacobian(model, start_value: float, x_in) -> np.ndarray:
+    """d(residual)/d(beta) at the kept states: the negated sensitivities."""
+    return -sensitivities_closed_form(model, start_value, x_in).jacobian
 
 
 def residuals_and_jacobian(beta, data: Dataset, delta: float,
@@ -202,24 +208,12 @@ def residuals_and_jacobian(beta, data: Dataset, delta: float,
     Rows cover only the trimmed-in observations; each Jacobian row is
     the negated coefficient sensitivity of the trajectory at that time.
     """
-    value, resid, traj, model = _evaluate(beta, data, delta, start_value,
+    value, resid, x_in, model = _evaluate(beta, data, delta, start_value,
                                           basis)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError(
             "path infeasible (diverged, left the domain or met g <= 0)")
-    return resid, _jacobian(model, traj,
-                            data.times[trim_mask(data.times, delta)])
-
-
-class _Start:
-    """Start coefficients the caller has already evaluated: ``lm_fit``
-    takes one in place of ``init_beta`` and uses ``evaluation``, the four
-    values ``_evaluate`` gave at ``beta``, instead of solving them again."""
-
-    __slots__ = ("beta", "evaluation")
-
-    def __init__(self, beta, evaluation):
-        self.beta, self.evaluation = beta, evaluation
+    return resid, _jacobian(model, start_value, x_in)
 
 
 def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
@@ -230,8 +224,7 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
     accepts a step exactly when its loss is lower (an infeasible step's
     is +inf, see ``_evaluate``); accepted steps shrink lambda, rejected
     ones grow it, by the module's ``_LAMBDA_*`` constants; ``_*_TOL`` end
-    the run.  Paths are solved at the step ``_STEP``.  ``init_beta`` may
-    also be a ``_Start``, evaluated at the same ``delta``.  Returns
+    the run.  Paths are solved at the step ``_STEP``.  Returns
     (beta_hat, LMReport, residuals, J): the last two are the residual
     vector and its Jacobian d(residual)/d(beta) at beta_hat, as
     ``residuals_and_jacobian`` gives them, from the evaluation LM already
@@ -239,20 +232,15 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
     ``step_tol`` (step), ``max_iter`` (``_MAX_ITER``) or ``no_descent``
     (lambda passed ``_LAMBDA_MAX``); each returns the last accepted beta.
     With no accepted step that is the start, and the caller's LOO score
-    decides whether it is kept.  Raises InfeasibleCoefficientsError if
-    the start is infeasible.
+    decides whether it is kept.  The start is solved here, once, and an
+    infeasible one raises InfeasibleCoefficientsError.
     """
-    if isinstance(init_beta, _Start):
-        beta = init_beta.beta.copy()
-        value, resid, traj, model = init_beta.evaluation
-    else:
-        beta = np.asarray(init_beta, dtype=float).copy()
-        value, resid, traj, model = _evaluate(
-            beta, data, delta, start_value, basis)
+    beta = np.asarray(init_beta, dtype=float).copy()
+    value, resid, x_in, model = _evaluate(beta, data, delta, start_value,
+                                          basis)
     if not np.isfinite(value):
         raise InfeasibleCoefficientsError("initial coefficients are infeasible")
-    t_in = data.times[trim_mask(data.times, delta)]
-    J = _jacobian(model, traj, t_in)
+    J = _jacobian(model, start_value, x_in)
     lam = _LAMBDA_INIT
     accepted = [value]
     status = "max_iter"
@@ -272,11 +260,11 @@ def lm_fit(init_beta, data: Dataset, delta: float, start_value: float,
             step = None
         if step is not None:
             cand = beta - step
-            cand_value, cand_resid, cand_traj, cand_model = _evaluate(
+            cand_value, cand_resid, cand_x_in, cand_model = _evaluate(
                 cand, data, delta, start_value, basis)
         if step is not None and cand_value < value:
             beta, value, resid = cand, cand_value, cand_resid
-            J = _jacobian(cand_model, cand_traj, t_in)
+            J = _jacobian(cand_model, start_value, cand_x_in)
             grad = J.T @ resid
             lam *= _LAMBDA_DOWN
             accepted.append(value)
@@ -348,29 +336,6 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
         raise SingularDesignError(f"two-stage normal equations failed: {exc}")
 
 
-def _initial_coefficients(data: Dataset, basis: SplineBasis, delta: float,
-                          endpoints: tuple, presmoothed):
-    """Two-stage initializer with a constant-model fallback.
-
-    ``presmoothed`` is the (level, derivative) pair of ``presmooth(data)``.
-    A two-stage start with a finite loss comes back as a ``_Start``
-    holding its evaluation, for ``lm_fit``; the fallback comes back as
-    coefficients.  It is the average slope between the estimated
-    endpoints, so its path from x0_hat ends at x1_hat, inside the widened
-    basis domain (``margin_basis`` has already rejected x1_hat <= x0_hat).
-    """
-    x0_hat, x1_hat = endpoints
-    try:
-        beta = two_stage_fit(data, basis, delta, presmoothed)
-        evaluation = _evaluate(beta, data, delta, x0_hat, basis)
-        if np.isfinite(evaluation[0]):
-            return _Start(beta, evaluation)
-    except SingularDesignError:
-        pass
-    return constant_coefficients(basis,
-                                 (x1_hat - x0_hat) / (1.0 - 2.0 * delta))
-
-
 def approximate_loo_score(resid: np.ndarray, J: np.ndarray) -> float:
     """Linearized leave-one-out score sum((r_j / (1 - H_jj))^2)."""
     try:
@@ -425,9 +390,17 @@ def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
     x0_hat, x1_hat = sample.endpoints
     delta, data_fit = sample.delta, sample.fit_data
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
-    init = _initial_coefficients(data_fit, basis, delta, sample.endpoints,
-                                 sample.presmoothed)
-    beta, report, resid, J = lm_fit(init, data_fit, delta, x0_hat, basis)
+    try:
+        beta, report, resid, J = lm_fit(
+            two_stage_fit(data_fit, basis, delta, sample.presmoothed),
+            data_fit, delta, x0_hat, basis)
+    except (SingularDesignError, InfeasibleCoefficientsError):
+        # the average slope between the endpoints: its path from x0_hat
+        # ends at x1_hat, inside the widened domain
+        beta, report, resid, J = lm_fit(
+            constant_coefficients(basis,
+                                  (x1_hat - x0_hat) / (1.0 - 2.0 * delta)),
+            data_fit, delta, x0_hat, basis)
     cv = approximate_loo_score(resid, J)
     cov, sigma2 = _gauss_newton(resid, J)
     return FitResult(model=GradientModel(basis, beta), chosen_M=M,

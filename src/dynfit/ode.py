@@ -17,13 +17,16 @@ states and slopes are the same bit for bit as on numpy scalars
 When g > 0 along the path, which ``GradientModel.min_on`` decides
 exactly over the visited states (g is piecewise polynomial), the
 sensitivities have closed forms in the state variable, from the
-integral curve T(X; beta) = integral of du/g(u) from x_start to X =
+integral curve T(X; beta) = integral of du/g(u) from x0 to X =
 t - t_start: the Jacobian is g(X) times the integral of phi/g^2, and
-the Hessian adds the integral of phi phi^T/g^3.  One engine,
+the Hessian adds the integral of phi phi^T/g^3.  So they need only the
+start state and the states at the query times:
+``sensitivities_closed_form(model, x0, xq)`` and
+``hessian_sensitivities(model, x0, xq)``, not a trajectory.  One engine,
 ``_state_integrals``, computes every such integral on one Gauss-Legendre
 node table over the traversed state range (a few points per piece of
 every knot interval, with a piece halved only where its rule has not
-settled), so its cost does not grow with the number of query times
+settled), so its cost does not grow with the number of query states
 beyond one short rule each.  Their independent oracle, RK4 on the
 linear sensitivity equations, lives with the tests
 (``tests/reference.py``).
@@ -287,15 +290,14 @@ def solve_trajectory(model, t_start: float, t_end: float, x_start: float,
 
 @dataclass(frozen=True)
 class SensitivityBundle:
-    """Trajectory derivatives at query times.
+    """Trajectory derivatives at query states.
 
-    ``jacobian[q, r]`` is the derivative of the state at t_query[q] with
+    ``jacobian[q, r]`` is the derivative of the q-th query state with
     respect to coefficient r; ``initial_sensitivity[q]`` the derivative
     with respect to the starting value; ``hessian`` (optional) has shape
     (n_query, n_params, n_params) and is symmetric in the last two axes.
     """
 
-    t_query: np.ndarray
     jacobian: np.ndarray
     initial_sensitivity: np.ndarray
     hessian: np.ndarray | None = None
@@ -377,21 +379,19 @@ def _state_integrals(model, x0: float, xq: np.ndarray, columns) -> np.ndarray:
     return prefix[k] + integral(edges[k], xq)
 
 
-def sensitivities_closed_form(model, traj: TrajectorySolution,
-                              t_query) -> SensitivityBundle:
+def sensitivities_closed_form(model, x0: float, xq) -> SensitivityBundle:
     """First-order sensitivities by the explicit quadrature formulas.
 
-    The coefficient sensitivities are g(X(t)) times the integral of
-    phi_r(u)/g(u)^2 from the starting state to X(t) (``_state_integrals``);
-    the starting-value sensitivity is g(X(t))/g(x_start).  Requires g > 0
-    on the traversed range.
+    ``xq`` are states of the path of x' = g(x) from the starting state
+    ``x0``, one per query time.  The coefficient sensitivities are
+    g(X) times the integral of phi_r(u)/g(u)^2 from x0 to X
+    (``_state_integrals``); the starting-value sensitivity is g(X)/g(x0).
+    Requires g > 0 on the traversed range.
     """
-    t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
-    xq = np.atleast_1d(traj.state_at(t_query))
-    x0 = traj.x_start
+    xq = np.atleast_1d(np.asarray(xq, dtype=float))
     I = _state_integrals(model, x0, xq, lambda phi, g: phi / g[:, None] ** 2)
     g_q = np.atleast_1d(model.g(xq))
-    return SensitivityBundle(t_query=t_query, jacobian=g_q[:, None] * I,
+    return SensitivityBundle(jacobian=g_q[:, None] * I,
                              initial_sensitivity=g_q / model.g(x0))
 
 
@@ -401,32 +401,31 @@ def _second_order_columns(phi, g):
     return np.hstack([phi / g[:, None] ** 2, outer / g[:, None] ** 3])
 
 
-def hessian_sensitivities(model, traj: TrajectorySolution,
-                          t_query) -> SensitivityBundle:
-    """Second-order sensitivities in closed form.
+def hessian_sensitivities(model, x0: float, xq) -> SensitivityBundle:
+    """Second-order sensitivities in closed form, at the states ``xq`` of
+    the path from ``x0`` (as in ``sensitivities_closed_form``).
 
     Differentiates the integral curve T(X; beta) = integral of du/g from
-    x_start to X = t - t_start twice:
+    x0 to X = t - t_start twice:
 
         d2X/dbeta_r dbeta_s = g'(X) g(X) I_r I_s + phi_r(X) I_s
                               + phi_s(X) I_r - 2 g(X) K_rs,
 
     with I = integral of phi/g^2 and K = integral of phi phi^T/g^3 from
-    x_start to X, both from the node table of ``_state_integrals``, so it
+    x0 to X, both from the node table of ``_state_integrals``, so it
     needs g > 0 on the traversed range.  The Hessian is a symmetric
     (n_query, M, M) array, for curvature diagnostics rather than the
     optimizer.
     """
-    t_query = np.atleast_1d(np.asarray(t_query, dtype=float))
+    xq = np.atleast_1d(np.asarray(xq, dtype=float))
     M = model.n_params
-    xq = np.atleast_1d(traj.state_at(t_query))
-    both = _state_integrals(model, traj.x_start, xq, _second_order_columns)
+    both = _state_integrals(model, x0, xq, _second_order_columns)
     I, K = both[:, :M], both[:, M:].reshape(-1, M, M)
     g_q = np.atleast_1d(model.g(xq))
     cross = I[:, :, None] * model.basis_row(xq)[:, None, :]
     # half of the formula, so that H + H^T is symmetric to the last bit
     H = ((0.5 * model.g_prime(xq) * g_q)[:, None, None] * I[:, :, None]
          * I[:, None, :] + cross - g_q[:, None, None] * K)
-    return SensitivityBundle(t_query=t_query, jacobian=g_q[:, None] * I,
-                             initial_sensitivity=g_q / model.g(traj.x_start),
+    return SensitivityBundle(jacobian=g_q[:, None] * I,
+                             initial_sensitivity=g_q / model.g(x0),
                              hessian=H + H.transpose(0, 2, 1))

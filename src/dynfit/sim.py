@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import _knot_vector, _leggauss, _smallest_support, make_basis
+from .basis import _leggauss, make_basis
 from .errors import DynfitError
 from .estimator import (EstimatorError, FitConfig, Sample, _fit, _lambda_min,
                         fit_at_dimension, select_M, support_margin,
@@ -193,7 +193,7 @@ def run_study(spec: SimSpec, config: FitConfig | None = None):
     Returns (reports, summary).  Replicate failures are recorded in the
     reports and counted in the summary, never fatal.
     """
-    config = config if config is not None else FitConfig(candidate_Ms=(3, 4, 5))
+    config = config if config is not None else FitConfig()
     truth = _true_trajectory(spec)
     reports = [run_replicate(spec, i, config, truth=truth)
                for i in range(spec.replicates)]
@@ -227,9 +227,7 @@ def conditioning_sweep(spec: SimSpec, dims=(4, 8, 16, 32), n: int = 4000,
     config = config if config is not None else FitConfig()
     data = generate_dataset(replace(spec, sigma=0.0, n_range=(n, n)), 0)
     sample = Sample(data, config)
-    _, knots = _knot_vector(*sample.endpoints, max(dims), config.order)
-    margin = support_margin(max(dims), n,
-                            _smallest_support(knots, config.order))
+    margin = support_margin(*sample.endpoints, max(dims), config.order, n)
     lam = {M: _lambda_min(_fit(sample, config, M, margin)[1])
            for M in sorted(dims)}
     factors = {f"{a}->{2 * a}": lam[a] / lam[2 * a]

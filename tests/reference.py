@@ -337,7 +337,7 @@ def sensitivities_ode(model, traj: TrajectorySolution,
     grid = _sorted_unique(np.concatenate([traj.t_grid, t_query]))
     y0 = np.concatenate(([traj.x_start], np.zeros(M), [1.0]))
     ys = _rk4(_sensitivity_rhs, model, y0, grid)[grid.searchsorted(t_query)]
-    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
+    return SensitivityBundle(jacobian=ys[:, 1:M + 1],
                              initial_sensitivity=ys[:, M + 1])
 
 
@@ -372,6 +372,6 @@ def _hessian_ode(model, traj, t_query):
     ys = _rk4(lambda m, y: _hessian_rhs(m, y, g2_rows), model, y0,
               grid)[grid.searchsorted(t_query)]
     H = ys[:, M + 2:].reshape(-1, M, M)
-    return SensitivityBundle(t_query=t_query, jacobian=ys[:, 1:M + 1],
+    return SensitivityBundle(jacobian=ys[:, 1:M + 1],
                              initial_sensitivity=ys[:, M + 1],
                              hessian=0.5 * (H + H.transpose(0, 2, 1)))

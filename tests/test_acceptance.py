@@ -49,7 +49,8 @@ def test_criterion_2_sensitivity_exactness(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.25, 0.5, 0.75])
     b_ode = sensitivities_ode(true_model, traj, tq)
-    b_cf = sensitivities_closed_form(true_model, traj, tq)
+    b_cf = sensitivities_closed_form(true_model, traj.x_start,
+                                     traj.state_at(tq))
     scale = np.abs(b_cf.jacobian).max()
     gap_routes = np.abs(b_ode.jacobian - b_cf.jacobian).max() / scale
     assert gap_routes < 1e-6
@@ -69,7 +70,7 @@ def test_criterion_2_sensitivity_exactness(true_model):
     assert gap_fd < 1e-4
 
     h_ode = _hessian_ode(true_model, traj, tq)
-    h_quad = hessian_sensitivities(true_model, traj, tq)
+    h_quad = hessian_sensitivities(true_model, traj.x_start, traj.state_at(tq))
     gap_h = np.abs(h_ode.hessian - h_quad.hessian).max() \
         / np.abs(h_ode.hessian).max()
     assert gap_h < 1e-5

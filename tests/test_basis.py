@@ -9,7 +9,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad, simpson
 from scipy.interpolate import BSpline
 
-from dynfit.basis import BasisError, _leggauss, make_basis
+from dynfit.basis import (BasisError, _knot_spacing, _leggauss,
+                          _smallest_support, make_basis)
 from reference import (central_difference, gram_matrix, raw_basis_values,
                        raw_eval)
 
@@ -30,17 +31,17 @@ def test_single_interval_cubic_construction():
     basis = make_basis(0.1, 1.1, 4, order=4)
     assert basis.n_basis == 4
     assert len(basis.breakpoints) == 2  # one knot interval
-    assert basis.knot_spacing == pytest.approx(1.0)
+    assert _knot_spacing(basis.knots, basis.order) == pytest.approx(1.0)
     assert np.all(basis.eval(0.5) > 0)
 
 
 def test_knot_spacing_formula():
     basis = make_basis(0.0, 1.0, 8, order=4)
-    assert basis.knot_spacing == pytest.approx(1.0 / 5.0)
+    assert _knot_spacing(basis.knots, 4) == pytest.approx(1.0 / 5.0)
     # interior functions span 4 intervals, boundary ones fewer
     spans = [basis.knots[i + 4] - basis.knots[i] for i in range(8)]
     assert max(spans) == pytest.approx(0.8)
-    assert basis.smallest_support == pytest.approx(0.2)
+    assert _smallest_support(basis.knots, 4) == pytest.approx(0.2)
 
 
 def test_invalid_arguments():

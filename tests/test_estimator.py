@@ -11,8 +11,7 @@ from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               fit_at_dimension, lm_fit, margin_basis,
                               presmooth, residuals_and_jacobian, select_M,
                               support_margin, trim_mask, two_stage_fit,
-                              _evaluate, _gauss_newton,
-                              _initial_coefficients, _lambda_min)
+                              _evaluate, _gauss_newton, _lambda_min)
 from dynfit.ode import GradientModel, solve_trajectory
 from dynfit.smooth import Dataset, SmoothingError, choose_delta
 from conftest import make_replicate
@@ -45,8 +44,7 @@ def fitting_setup(true_trajectory, seed=7, n=100, sigma=0.0):
     delta = choose_delta(d.times)
     x0 = true_trajectory.state_at(delta)
     x1 = true_trajectory.state_at(1.0 - delta)
-    probe = make_basis(x0, x1, 4, 4)
-    eta = support_margin(4, n, probe.smallest_support)
+    eta = support_margin(x0, x1, 4, 4, n)
     basis = make_basis(x0 - eta, x1 + eta, 4, 4)
     return d, delta, x0, basis
 
@@ -312,11 +310,8 @@ def test_constant_fallback_start_is_feasible(x0, width, delta, order, extra):
     basis = margin_basis(x0, x1, order + extra, order, n)
     t = np.linspace(0.0, 1.0, n)
     data = Dataset(t, x0 + width * t)
-    # smoothed states beyond the basis domain leave the two-stage design
-    # empty, so the initializer takes its constant fallback
-    beyond = np.full(n, basis.x_hi + width)
-    beta = _initial_coefficients(data, basis, delta, (x0, x1),
-                                 (beyond, np.zeros(n)))
+    # the fit's fallback start: the average slope between the endpoints
+    beta = constant_coefficients(basis, (x1 - x0) / (1.0 - 2.0 * delta))
     assert np.isfinite(loss(beta, data, delta, x0, basis))
 
 
@@ -346,28 +341,74 @@ def test_two_stage_start_is_solved_once_per_candidate(true_trajectory,
                                                      monkeypatch):
     import dynfit.estimator as est
 
-    starts, runs = [], []  # runs: the coefficients solved, per candidate
-    real_solve, real_init = est.solve_trajectory, est._initial_coefficients
+    starts, lm_starts = [], []
+    runs = []  # the coefficients solved, per candidate
+    real_solve, real_two_stage, real_lm = (est.solve_trajectory,
+                                           est.two_stage_fit, est.lm_fit)
 
     def counted_solve(model, *args, **kwargs):
         runs[-1].append(model.beta.tobytes())
         return real_solve(model, *args, **kwargs)
 
-    def recorded_init(*args, **kwargs):
+    def recorded_two_stage(*args, **kwargs):
         runs.append([])
-        starts.append(real_init(*args, **kwargs))
+        starts.append(real_two_stage(*args, **kwargs))
         return starts[-1]
 
+    def recorded_lm(init_beta, *args, **kwargs):
+        lm_starts.append(init_beta.tobytes())
+        return real_lm(init_beta, *args, **kwargs)
+
     monkeypatch.setattr(est, "solve_trajectory", counted_solve)
-    monkeypatch.setattr(est, "_initial_coefficients", recorded_init)
+    monkeypatch.setattr(est, "two_stage_fit", recorded_two_stage)
+    monkeypatch.setattr(est, "lm_fit", recorded_lm)
     select_M(make_replicate(true_trajectory, seed=3),
              FitConfig(candidate_Ms=(4, 5)))
     assert len(starts) == 2
+    # one LM run per candidate, from the two-stage start (no fallback)
+    assert lm_starts == [start.tobytes() for start in starts]
     for start, run in zip(starts, runs):
-        assert isinstance(start, est._Start)
-        # the initializer's solve comes first, and LM does not repeat it
-        assert run[0] == start.beta.tobytes()
+        # the start's solve comes first, and no coefficients are solved twice
+        assert run[0] == start.tobytes()
         assert len(run) == len(set(run))
+
+
+@pytest.mark.parametrize("failure", ["singular", "infeasible"])
+def test_failed_two_stage_start_falls_back_to_the_constant_model(
+        failure, true_trajectory, monkeypatch):
+    import dynfit.estimator as est
+
+    sample = Sample(make_replicate(true_trajectory, seed=13, n=80,
+                                   sigma=0.01), FitConfig())
+    bad, solved = [], []
+    real_solve = est.solve_trajectory
+
+    def failing_start(data, basis, delta, presmoothed):
+        if failure == "singular":
+            raise SingularDesignError("forced")
+        bad.append(constant_coefficients(basis, -1.0))  # g = -1 everywhere
+        return bad[-1]
+
+    def counted_solve(model, *args, **kwargs):
+        solved.append(model.beta.tobytes())
+        return real_solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(est, "two_stage_fit", failing_start)
+    monkeypatch.setattr(est, "solve_trajectory", counted_solve)
+    fit = fit_at_dimension(sample, FitConfig(), 4)
+    monkeypatch.undo()
+    assert len(bad) == (failure == "infeasible")
+    for beta in bad:
+        # the infeasible start is solved once, first, and never again
+        assert solved[0] == beta.tobytes()
+        assert solved.count(beta.tobytes()) == 1
+    x0_hat, x1_hat = sample.endpoints
+    basis = fit.model.basis
+    level = (x1_hat - x0_hat) / (1.0 - 2.0 * sample.delta)
+    beta, report, _, _ = lm_fit(constant_coefficients(basis, level),
+                                sample.fit_data, sample.delta, x0_hat, basis)
+    assert beta.tobytes() == fit.model.beta.tobytes()
+    assert report == fit.convergence
 
 
 def test_loo_score_formula():
@@ -399,9 +440,8 @@ def test_fit_at_dimension_default_margin(true_trajectory):
     d = make_replicate(true_trajectory, seed=10, n=90, sigma=0.01)
     default = fit_at_dimension(d, FitConfig(), 5)
     x0, x1 = default.endpoints
-    s_M = make_basis(x0, x1, 5, 4).smallest_support
     given = fit_at_dimension(d, FitConfig(), 5,
-                             margin=support_margin(5, d.n, s_M))
+                             margin=support_margin(x0, x1, 5, 4, d.n))
     np.testing.assert_array_equal(given.model.beta, default.model.beta)
     np.testing.assert_array_equal(given.covariance, default.covariance)
     assert given.cv_score == default.cv_score
@@ -513,8 +553,7 @@ def test_lm_fit_takes_delta_and_reproduces_the_fit(true_trajectory):
     sample = Sample(d, FitConfig(delta=0.1))
     fit = fit_at_dimension(sample, FitConfig(), 4)
     basis = fit.model.basis
-    init = _initial_coefficients(sample.fit_data, basis, 0.1,
-                                 sample.endpoints, sample.presmoothed)
+    init = two_stage_fit(sample.fit_data, basis, 0.1, sample.presmoothed)
     beta, report, _, _ = lm_fit(init, sample.fit_data, 0.1,
                                 sample.endpoints[0], basis)
     assert beta.tobytes() == fit.model.beta.tobytes()
@@ -599,9 +638,10 @@ def test_two_stage_agrees_with_one_step_in_easy_limit(true_trajectory):
 
 
 def test_support_margin_formula():
-    assert support_margin(4, 100, 1.0) == pytest.approx(
+    # s_M: one knot interval of length 1 at M = 4; 0.87 / 29 = 0.03 at M = 32
+    assert support_margin(0.0, 1.0, 4, 4, 100) == pytest.approx(
         min(4 ** -1.5 * np.log(100), 1.0 / np.log(100)))
-    assert support_margin(32, 4000, 0.03) == pytest.approx(
+    assert support_margin(0.0, 0.87, 32, 4, 4000) == pytest.approx(
         min(32 ** -1.5 * np.log(4000), 0.03 / np.log(4000)))
 
 

@@ -108,7 +108,8 @@ def test_sensitivities_constant_model():
     traj = solve_trajectory(model, 0.2, 1.0, 0.1, h=1e-3)
     tq = np.array([0.2, 0.5, 1.0])
     for bundle in (sensitivities_ode(model, traj, tq),
-                   sensitivities_closed_form(model, traj, tq)):
+                   sensitivities_closed_form(model, traj.x_start,
+                                             traj.state_at(tq))):
         # X(t) = x0 + 0.8 (t - 0.2); each coefficient contributes its
         # basis function along the path
         assert bundle.jacobian[0] == pytest.approx(0.0, abs=1e-12)
@@ -140,7 +141,8 @@ def test_benchmark_jacobian_routes_agree(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.25, 0.5, 0.75])
     b_ode = sensitivities_ode(true_model, traj, tq)
-    b_cf = sensitivities_closed_form(true_model, traj, tq)
+    b_cf = sensitivities_closed_form(true_model, traj.x_start,
+                                     traj.state_at(tq))
     scale = np.abs(b_cf.jacobian).max()
     assert np.abs(b_ode.jacobian - b_cf.jacobian).max() / scale < 1e-6
     np.testing.assert_allclose(b_ode.initial_sensitivity,
@@ -179,11 +181,11 @@ def test_route_equivalence_on_random_positive_models():
         traj = solve_trajectory(model, 0.0, 0.6, x0, h=2e-3)
         tq = np.sort(rng.uniform(0.0, 0.6, 4))
         b1 = sensitivities_ode(model, traj, tq)
-        b2 = sensitivities_closed_form(model, traj, tq)
+        b2 = sensitivities_closed_form(model, traj.x_start, traj.state_at(tq))
         scale = max(np.abs(b2.jacobian).max(), 1e-12)
         assert np.abs(b1.jacobian - b2.jacobian).max() / scale < 1e-6
         h1 = _hessian_ode(model, traj, tq[-1:])
-        h2 = hessian_sensitivities(model, traj, tq[-1:])
+        h2 = hessian_sensitivities(model, traj.x_start, traj.state_at(tq[-1:]))
         hscale = max(np.abs(h1.hessian).max(), 1e-12)
         assert np.abs(h1.hessian - h2.hessian).max() / hscale < 1e-5
 
@@ -197,7 +199,7 @@ def test_routes_agree_on_growth_model():
     traj = solve_trajectory(model, 0.0, 1.0, 75.0, h=5e-4)
     tq = np.linspace(0.0, 1.0, 41)
     b_ode = sensitivities_ode(model, traj, tq)
-    b_cf = sensitivities_closed_form(model, traj, tq)
+    b_cf = sensitivities_closed_form(model, traj.x_start, traj.state_at(tq))
     scale = np.abs(b_ode.jacobian).max(axis=0)
     assert (np.abs(b_cf.jacobian - b_ode.jacobian).max(axis=0)
             <= 1e-8 * scale).all()
@@ -221,7 +223,7 @@ def test_routes_agree_next_to_a_root():
     assert 0 < model.g(x_end) < 1e-3 * model.g(np.linspace(70, x_end, 999)).max()
     tq = np.linspace(0.0, 1.0, 41)
     b_ode = sensitivities_ode(model, traj, tq)
-    b_cf = sensitivities_closed_form(model, traj, tq)
+    b_cf = sensitivities_closed_form(model, traj.x_start, traj.state_at(tq))
     scale = np.abs(b_ode.jacobian).max(axis=0)
     assert (np.abs(b_cf.jacobian - b_ode.jacobian).max(axis=0)
             <= 1e-8 * scale).all()
@@ -254,7 +256,7 @@ def test_closed_form_hessian_matches_fine_ode_route(cases):
     for model, t_end, x0, tq in cases():
         traj = solve_trajectory(model, 0.0, t_end, x0, h=1e-4)
         ode = _hessian_ode(model, traj, tq)
-        quad = hessian_sensitivities(model, traj, tq)
+        quad = hessian_sensitivities(model, traj.x_start, traj.state_at(tq))
         scale = np.abs(ode.hessian).max()
         assert np.abs(quad.hessian - ode.hessian).max() / scale < 1e-7
         np.testing.assert_array_equal(
@@ -267,7 +269,7 @@ def test_closed_form_requires_positive_gradient():
     model = GradientModel(basis, raw / basis.norm_factors)
     traj = solve_trajectory(model, 0.0, 0.5, 0.5, h=1e-3)
     with pytest.raises(NonpositiveGradientError):
-        sensitivities_closed_form(model, traj, [0.4])
+        sensitivities_closed_form(model, traj.x_start, traj.state_at([0.4]))
 
 
 def test_positivity_is_exact_between_grid_nodes():
@@ -287,7 +289,8 @@ def test_positivity_is_exact_between_grid_nodes():
     flat = GradientModel(basis, 0.8 / basis.norm_factors)
     traj = solve_trajectory(flat, 0.0, 1.0, 0.1, h=1e-3)
     with pytest.raises(NonpositiveGradientError):
-        sensitivities_closed_form(model, traj, [0.25, 1.0])
+        sensitivities_closed_form(model, traj.x_start,
+                                  traj.state_at([0.25, 1.0]))
 
 
 def test_real_roots_match_numpy_roots():
@@ -311,7 +314,7 @@ def test_hessian_routes_and_symmetry(true_model):
     traj = solve_trajectory(true_model, 0.0, 1.0, 0.25, h=1e-3)
     tq = np.array([0.3, 0.6])
     h_ode = _hessian_ode(true_model, traj, tq)
-    h_quad = hessian_sensitivities(true_model, traj, tq)
+    h_quad = hessian_sensitivities(true_model, traj.x_start, traj.state_at(tq))
     scale = np.abs(h_ode.hessian).max()
     assert np.abs(h_ode.hessian - h_quad.hessian).max() / scale < 1e-5
     np.testing.assert_allclose(h_ode.hessian,

@@ -108,12 +108,12 @@ def test_min_on_matches_the_vectorised_oracle(case, ends):
 def test_closed_form_jacobian_matches_the_ode_route(case, delta):
     model, x0, n, sigma = case
     data = sample_of(model, x0, n, sigma)
-    _, _, traj, _ = estimator._evaluate(model.beta, data, delta, x0,
+    _, _, x_in, _ = estimator._evaluate(model.beta, data, delta, x0,
                                         model.basis)
-    if traj is None:
+    if x_in is None:
         return
     t_in = data.times[trim_mask(data.times, delta)]
-    closed = sensitivities_closed_form(model, traj, t_in).jacobian
+    closed = sensitivities_closed_form(model, x0, x_in).jacobian
     fine = solve_trajectory(model, delta, 1.0 - delta, x0, h=_ORACLE_STEP,
                             extra_times=t_in)
     ode = sensitivities_ode(model, fine, t_in).jacobian
