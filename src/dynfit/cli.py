@@ -213,7 +213,7 @@ def cmd_two_stage(args) -> int:
         sample = Sample(data, config)
         basis = margin_basis(*sample.endpoints, args.M, config.order, data.n)
         beta = two_stage_fit(sample.fit_data, basis, sample.delta,
-                             sample.presmoothed)
+                             sample.full_presmoothed())
         return _subject_record(subject, args.M, GradientModel(basis, beta),
                                sample.endpoints, time_map, cv_score=None,
                                sigma2=None, convergence=None, traj_grid=[])

@@ -12,11 +12,13 @@ is infeasible (see ``_evaluate``) get an infinite loss and act as
 rejected steps, which keeps the search unconstrained.
 
 A ``Sample`` prepares a dataset once: the trimming level, the endpoints
-from the even-indexed half, and the odd-indexed half, with its
-presmoothing, that every fit uses; so the two halves are independent.
-On it, ``fit_at_dimension`` widens the basis by a margin, runs LM from
-the two-stage regression (or, when that start is singular or
-infeasible, from the constant model), scores by approximate leave-one-out
+from the even-indexed half, and the odd-indexed half that every fit
+uses; so the two halves are independent.  The presmoothed pair only
+seeds the fit, so it is taken on the start data, the odd half thinned
+to at most 400 points.  On it, ``fit_at_dimension`` widens the basis by
+a margin, runs LM on the whole odd half from the two-stage regression
+on the start data (or, when that start is singular or infeasible, from
+the constant model), scores by approximate leave-one-out
 (from the linearized hat matrix at the fitted coefficients) and takes
 the Gauss-Newton covariance.  ``select_M`` runs the same body for every
 candidate dimension and keeps the best score.
@@ -35,7 +37,7 @@ from .errors import DynfitError
 from .ode import (GradientModel, TrajectoryDivergenceError,
                   sensitivities_closed_form, solve_trajectory)
 from .smooth import (Dataset, choose_delta, cv_bandwidth, estimate_endpoints,
-                     local_poly)
+                     local_poly, thinned)
 
 
 class EstimatorError(DynfitError, RuntimeError):
@@ -292,10 +294,12 @@ def presmooth(data: Dataset):
 
     Level by local linear fit, derivative by local quadratic fit, each
     with a Gaussian kernel and its own bandwidth, cross-validated over 20
-    log-spaced values up to 0.5.  Their floor is 0.02 for ordinary sample
-    sizes and shrinks like 10/n on dense samples, where the wider floor
-    would leave irreducible smoothing bias.  One ``cv_bandwidth`` call
-    scores both degrees over the whole grid.
+    log-spaced values up to 0.5.  Their floor is 0.02 up to 500 points
+    and shrinks like 10/n on denser samples, where the wider floor would
+    leave irreducible smoothing bias; the fit's start data has at most
+    400 points, so only the comparison estimator's full pair
+    (``Sample.full_presmoothed``) reaches 10/n.  One ``cv_bandwidth``
+    call scores both degrees over the whole grid.
     """
     grid = np.geomspace(min(0.02, 10.0 / max(data.n, 20)), 0.5, 20)
     bw_level, bw_deriv = cv_bandwidth(data, (1, 2), grid)
@@ -310,8 +314,10 @@ def two_stage_fit(data: Dataset, basis: SplineBasis, delta: float,
 
     Ordinary least squares of X'hat(t_j) on phi(Xhat(t_j)) over the
     trimmed-in observations; ``presmoothed`` is the pair ``presmooth``
-    gives for ``data``.  A ridge jitter of 1e-10 I is added only when the
-    normal matrix is numerically singular, with a warning.
+    gives for ``data``: a ``Sample``'s start pair for the fit's start, its
+    ``full_presmoothed()`` with ``fit_data`` for the comparison estimator.
+    A ridge jitter of 1e-10 I is added only when the normal matrix is
+    numerically singular, with a warning.
     """
     level, deriv = presmoothed
     mask = trim_mask(data.times, delta)
@@ -367,8 +373,11 @@ def _gauss_newton(resid: np.ndarray, J: np.ndarray):
 class Sample:
     """A dataset prepared once for every fit: ``delta`` (``config.delta`` or
     ``choose_delta``), the ``endpoints`` from the even half, the odd half
-    ``fit_data`` and ``presmoothed``, its ``presmooth`` pair.  A failure
-    of any of these raises here, once, not in each fit."""
+    ``fit_data`` that LM fits, the start data ``start_data`` (``thinned``
+    ``fit_data``: the same object up to 400 points, else every k-th point,
+    at most 400) and ``presmoothed``, the ``presmooth`` pair of
+    ``start_data`` that the two-stage start regresses on.  A failure of
+    any of these raises here, once, not in each fit."""
 
     def __init__(self, data: Dataset, config: FitConfig):
         if data.n < 10:
@@ -378,7 +387,16 @@ class Sample:
             else choose_delta(data.times)
         self.endpoints = estimate_endpoints(data, self.delta)
         self.fit_data = data.odd_half()
-        self.presmoothed = presmooth(self.fit_data)
+        self.start_data = thinned(self.fit_data)
+        self.presmoothed = presmooth(self.start_data)
+
+    def full_presmoothed(self):
+        """``presmooth`` of the whole ``fit_data``, for the comparison
+        estimator, whose error grows on the wider bandwidths CV picks on
+        400 points; ``presmoothed`` itself when nothing was thinned."""
+        if self.start_data is self.fit_data:
+            return self.presmoothed
+        return presmooth(self.fit_data)
 
 
 def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
@@ -392,7 +410,8 @@ def _fit(sample: Sample, config: FitConfig, M: int, margin: float | None):
     basis = margin_basis(x0_hat, x1_hat, M, config.order, sample.n, margin)
     try:
         beta, report, resid, J = lm_fit(
-            two_stage_fit(data_fit, basis, delta, sample.presmoothed),
+            two_stage_fit(sample.start_data, basis, delta,
+                          sample.presmoothed),
             data_fit, delta, x0_hat, basis)
     except (SingularDesignError, InfeasibleCoefficientsError):
         # the average slope between the endpoints: its path from x0_hat

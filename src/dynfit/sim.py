@@ -147,6 +147,7 @@ def run_replicate(spec: SimSpec, index: int, config: FitConfig,
     try:
         sample = Sample(data, config)
         fit = select_M(sample, config)
+        presmoothed = sample.full_presmoothed()
     except DynfitError as exc:
         return ReplicateReport(seed=index, n=data.n, chosen_M=-1,
                                ise_onestep=np.nan, ise_twostage=np.nan,
@@ -158,7 +159,7 @@ def run_replicate(spec: SimSpec, index: int, config: FitConfig,
     ise1 = _model_ise(fit.model, spec.true_model, lo, hi)
     try:
         beta_ts = two_stage_fit(sample.fit_data, fit.model.basis, fit.delta,
-                                sample.presmoothed)
+                                presmoothed)
         ise2 = _model_ise(GradientModel(fit.model.basis, beta_ts),
                           spec.true_model, lo, hi)
     except EstimatorError:

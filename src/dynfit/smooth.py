@@ -88,7 +88,7 @@ class Dataset:
 
 
 _BLOCK = 128  # queries per block of the moment sums in _local_moments
-_CV_MAX_QUERIES = 400
+_CV_MAX_QUERIES = 400  # points ``thinned`` keeps: CV queries, start data
 _TAIL_SHARE = 0.05  # share of the observations in each tail of choose_delta
 
 
@@ -187,39 +187,45 @@ def _loo_residuals(y, active, S, T, degree, w0) -> np.ndarray | None:
     at the queries and ``w0`` the kernel weight at offset 0.
 
     Uses the linear-smoother identity (y - yhat)/(1 - l_jj), where l_jj
-    is the weight the fit at t_j places on observation j.  Returns None
-    when the design is singular.
+    is the weight the fit at t_j places on observation j, w0 (A^-1 e1)_0;
+    one solve takes both right-hand sides.  Returns None when the design
+    is singular.
     """
     if (active < degree + 1).any():
         return None
     A, rhs = _normal_equations(S, T, degree)
+    both = np.zeros(rhs.shape + (2,))
+    both[..., 0] = rhs
+    both[:, 0, 1] = 1.0
     try:
-        coef = np.linalg.solve(A, rhs[..., None])[..., 0]
-        e1 = np.zeros(degree + 1)
-        e1[0] = 1.0
-        Ainv_e1 = np.linalg.solve(
-            A, np.broadcast_to(e1[:, None], (len(y), degree + 1, 1)))[..., 0]
+        sol = np.linalg.solve(A, both)
     except np.linalg.LinAlgError:
         return None
-    level = coef[:, 0]
-    l_jj = w0 * Ainv_e1[:, 0]
+    level, l_jj = sol[:, 0, 0], w0 * sol[:, 0, 1]
     denom = 1.0 - l_jj
     if (denom <= 1e-12).any():
         return None
     return (y - level) / denom
 
 
+def thinned(data: Dataset) -> Dataset:
+    """Every k-th observation from the first, k = ceil(n/_CV_MAX_QUERIES),
+    so at most _CV_MAX_QUERIES of them; ``data`` itself when n is within
+    that cap."""
+    if data.n <= _CV_MAX_QUERIES:
+        return data
+    return data.subset(np.arange(0, data.n, -(-data.n // _CV_MAX_QUERIES)))
+
+
 def _cv_residuals(data: Dataset, degrees, grid) -> list:
-    """Leave-one-out residuals of the level fits at the CV queries (every
-    k-th observation, at most _CV_MAX_QUERIES of them): one list per
-    degree, with one array (None where singular) per grid value."""
-    stride = max(1, -(-data.n // _CV_MAX_QUERIES))
-    query_idx = np.arange(0, data.n, stride)
-    active, S, T = _local_moments(data.times, data.values,
-                                  data.times[query_idx], max(degrees), grid)
-    y = data.values[query_idx]
+    """Leave-one-out residuals of the level fits at the CV queries (the
+    ``thinned`` observations): one list per degree, with one array (None
+    where singular) per grid value."""
+    queries = thinned(data)
+    active, S, T = _local_moments(data.times, data.values, queries.times,
+                                  max(degrees), grid)
     w0 = _kernel_weights(np.zeros(1))[0]
-    return [[_loo_residuals(y, active[b], S[b], T[b], d, w0)
+    return [[_loo_residuals(queries.values, active[b], S[b], T[b], d, w0)
              for b in range(len(grid))] for d in degrees]
 
 

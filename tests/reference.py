@@ -238,10 +238,13 @@ def _loo_errors(data: Dataset, degree: int, bandwidth: float,
     """Exact leave-one-out residuals of the level fit at the data times.
 
     Uses the linear-smoother identity (y - yhat)/(1 - l_jj), where l_jj
-    is the weight the fit at t_j places on observation j.  Returns None
-    when the design is singular for this bandwidth.  ``query_idx``
-    restricts the residuals to a subset of observations (the smoother
-    still uses all of them).
+    is the weight the fit at t_j places on observation j, the first entry
+    of A^-1 e1.  The coefficients and A^-1 e1 come from one solve with
+    two right-hand sides, as in ``dynfit.smooth._loo_residuals``; two
+    separate solves differ from it in the last bits.  Returns None when
+    the design is singular for this bandwidth.  ``query_idx`` restricts
+    the residuals to a subset of observations (the smoother still uses
+    all of them).
     """
     if query_idx is None:
         query_idx = np.arange(data.n)
@@ -249,17 +252,15 @@ def _loo_errors(data: Dataset, degree: int, bandwidth: float,
                                     data.times[query_idx], degree, bandwidth)
     if (active < degree + 1).any():
         return None
+    both = np.zeros(rhs.shape + (2,))
+    both[..., 0] = rhs
+    both[:, 0, 1] = 1.0
     try:
-        coef = np.linalg.solve(A, rhs[..., None])[..., 0]
-        e1 = np.zeros(degree + 1)
-        e1[0] = 1.0
-        Ainv_e1 = np.linalg.solve(
-            A, np.broadcast_to(e1[:, None],
-                               (len(query_idx), degree + 1, 1)))[..., 0]
+        sol = np.linalg.solve(A, both)
     except np.linalg.LinAlgError:
         return None
-    level = coef[:, 0]
-    denom = 1.0 - Ainv_e1[:, 0]  # the kernel weight at offset 0 is 1
+    level = sol[:, 0, 0]
+    denom = 1.0 - sol[:, 0, 1]  # the kernel weight at offset 0 is 1
     if (denom <= 1e-12).any():
         return None
     return (data.values[query_idx] - level) / denom

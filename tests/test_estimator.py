@@ -13,6 +13,7 @@ from dynfit.estimator import (AllCandidatesFailedError, EstimatorError,
                               support_margin, trim_mask, two_stage_fit,
                               _evaluate, _gauss_newton, _lambda_min)
 from dynfit.ode import GradientModel, solve_trajectory
+from dynfit.sim import SimSpec, generate_dataset
 from dynfit.smooth import Dataset, SmoothingError, choose_delta
 from conftest import make_replicate
 
@@ -500,6 +501,38 @@ def test_select_presmooths_once(true_trajectory, monkeypatch):
     assert calls == [40]
 
 
+def test_sample_starts_from_the_whole_odd_half_up_to_400_points(
+        true_trajectory):
+    sample = Sample(make_replicate(true_trajectory, seed=13, n=80,
+                                   sigma=0.01), FitConfig())
+    assert sample.fit_data.n == 40
+    assert sample.start_data is sample.fit_data
+    assert sample.full_presmoothed() is sample.presmoothed
+
+
+@pytest.mark.slow
+def test_dense_fit_from_the_thinned_start_matches_the_full_start():
+    # a start pair on 200 points sent one dense fit to no_descent; on 400
+    # LM ends where the start from the full pair leads
+    data = generate_dataset(SimSpec(rng_seed=0, n_range=(3200, 3200)), 0)
+    config = FitConfig(candidate_Ms=(7,))
+    sample = Sample(data, config)
+    assert (sample.fit_data.n, sample.start_data.n) == (1600, 400)
+    fit = fit_at_dimension(sample, config, 7)
+    assert fit.convergence.status == "converged"
+    basis, delta = fit.model.basis, sample.delta
+    full_start = two_stage_fit(sample.fit_data, basis, delta,
+                               sample.full_presmoothed())
+    assert not np.array_equal(
+        full_start,
+        two_stage_fit(sample.start_data, basis, delta, sample.presmoothed))
+    beta, report, _, _ = lm_fit(full_start, sample.fit_data, delta,
+                                sample.endpoints[0], basis)
+    assert report.status == "converged"
+    assert np.linalg.norm(fit.model.beta - beta) <= \
+        1e-6 * np.linalg.norm(beta)
+
+
 def test_sample_presmoothing_failure_raises_once_when_built(true_trajectory,
                                                            monkeypatch):
     calls = []
@@ -553,7 +586,7 @@ def test_lm_fit_takes_delta_and_reproduces_the_fit(true_trajectory):
     sample = Sample(d, FitConfig(delta=0.1))
     fit = fit_at_dimension(sample, FitConfig(), 4)
     basis = fit.model.basis
-    init = two_stage_fit(sample.fit_data, basis, 0.1, sample.presmoothed)
+    init = two_stage_fit(sample.start_data, basis, 0.1, sample.presmoothed)
     beta, report, _, _ = lm_fit(init, sample.fit_data, 0.1,
                                 sample.endpoints[0], basis)
     assert beta.tobytes() == fit.model.beta.tobytes()

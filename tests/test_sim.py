@@ -137,6 +137,34 @@ def test_run_replicate_presmooths_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_run_replicate_comparator_presmooths_the_whole_odd_half(
+        monkeypatch):
+    calls, two_stage = [], []
+
+    def counted(data, _real=estimator.presmooth):
+        calls.append(data.n)
+        return _real(data)
+
+    def recorded(data, basis, delta, presmoothed, _real=sim.two_stage_fit):
+        two_stage.append((basis, delta,
+                          _real(data, basis, delta, presmoothed)))
+        return two_stage[-1][2]
+
+    monkeypatch.setattr(estimator, "presmooth", counted)
+    monkeypatch.setattr(sim, "two_stage_fit", recorded)
+    spec = SimSpec(rng_seed=0, n_range=(1000, 1000))
+    rep = run_replicate(spec, 0, FitConfig(candidate_Ms=(5,)))
+    monkeypatch.undo()
+    assert rep.chosen_M == 5 and np.isfinite(rep.ise_twostage)
+    # the fit's start pair on every 2nd of the 500 odd points, then the
+    # comparator's pair on all of them
+    assert calls == [250, 500]
+    [(basis, delta, beta)] = two_stage
+    odd = generate_dataset(spec, 0).odd_half()
+    assert beta.tobytes() == two_stage_fit(
+        odd, basis, delta, estimator.presmooth(odd)).tobytes()
+
+
 def test_run_replicate_records_a_trimming_failure(monkeypatch):
     from dynfit.smooth import TrimmingError
 

@@ -115,6 +115,25 @@ def test_loo_errors_match_refits_without_the_point():
         assert resid[j] == pytest.approx(y[j] - level[0], rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [400, 401, 800, 801])
+def test_thinned_keeps_every_kth_point_up_to_the_cap(n):
+    rng = np.random.default_rng(n)
+    t = rng.uniform(0.0, 1.0, n)
+    data = Dataset(t, np.sin(3.0 * t) + 0.1 * rng.standard_normal(n))
+    kept = smooth.thinned(data)
+    stride = -(-n // 400)
+    if n <= 400:
+        assert kept is data
+    else:
+        assert kept.n <= 400
+        np.testing.assert_array_equal(kept.times, data.times[::stride])
+        np.testing.assert_array_equal(kept.values, data.values[::stride])
+    # the CV scores at the same points as its own every-k-th rule did
+    [[resid]] = smooth._cv_residuals(data, (2,), [0.1])
+    ref = reference._loo_errors(data, 2, 0.1, np.arange(0, n, stride))
+    assert resid.tobytes() == ref.tobytes()
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(n=st.integers(12, 900), seed=st.integers(0, 2 ** 16),
        ties=st.booleans(), lowest=st.floats(1e-4, 0.05),
